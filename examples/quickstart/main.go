@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dc"
+	"repro/internal/ecocloud"
 	"repro/internal/energy"
 	"repro/internal/trace"
 )
@@ -28,7 +28,7 @@ func main() {
 
 	// 2. The ecoCloud policy with the paper's parameters (Ta=0.90, p=3,
 	//    Tl=0.50, Th=0.95, alpha=beta=0.25).
-	policy, err := core.New(core.DefaultConfig(), 7)
+	policy, err := ecocloud.New(ecocloud.DefaultConfig(), 7)
 	if err != nil {
 		log.Fatal(err)
 	}

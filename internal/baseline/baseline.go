@@ -207,8 +207,7 @@ func (c *Centralized) OnControl(env cluster.Env) {
 			}
 			exclude[s.ID] = true
 		case u < c.cfg.Lower:
-			vms := sortedVMs(s)
-			for _, vm := range vms {
+			for _, vm := range s.VMs() { // ID-sorted
 				migrants = append(migrants, migrant{vm: vm, from: s, demand: vm.DemandAt(now), kind: cluster.MigrationLow})
 			}
 			exclude[s.ID] = true
@@ -291,7 +290,7 @@ func (c *Centralized) OnControl(env cluster.Env) {
 // Upper: repeatedly take the smallest VM whose removal suffices, or the
 // largest VM when none alone suffices.
 func (c *Centralized) overloadPicks(s *dc.Server, now time.Duration) []migrant {
-	vms := sortedVMs(s)
+	vms := s.VMs()
 	// Sort ascending by demand for the "smallest sufficient" scan.
 	sort.Slice(vms, func(i, j int) bool {
 		di, dj := vms[i].DemandAt(now), vms[j].DemandAt(now)
@@ -353,13 +352,6 @@ func (*AllOn) OnArrival(env cluster.Env, vm *trace.VM) {
 
 // OnControl does nothing: AllOn never consolidates or hibernates.
 func (*AllOn) OnControl(cluster.Env) {}
-
-// sortedVMs returns s's VMs in ID order (map iteration is randomized).
-func sortedVMs(s *dc.Server) []*trace.VM {
-	vms := s.VMs()
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
-	return vms
-}
 
 // leastUtilized returns the active server with the lowest utilization,
 // skipping excluded IDs.

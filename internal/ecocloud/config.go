@@ -115,26 +115,23 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Ta <= 0 || c.Ta > 1 {
-		return fmt.Errorf("ecocloud: Ta = %v outside (0,1]", c.Ta)
-	}
-	if c.P <= 0 {
-		return fmt.Errorf("ecocloud: p = %v must be positive", c.P)
+	if _, err := NewAssignProb(c.Ta, c.P); err != nil {
+		return err
 	}
 	if !c.DisableMigration {
-		if c.Tl < 0 || c.Tl >= 1 {
+		if !(c.Tl >= 0 && c.Tl < 1) {
 			return fmt.Errorf("ecocloud: Tl = %v outside [0,1)", c.Tl)
 		}
-		if c.Th <= 0 || c.Th >= 1 {
+		if !(c.Th > 0 && c.Th < 1) {
 			return fmt.Errorf("ecocloud: Th = %v outside (0,1)", c.Th)
 		}
 		if c.Tl >= c.Th {
 			return fmt.Errorf("ecocloud: Tl = %v must be below Th = %v", c.Tl, c.Th)
 		}
-		if c.Alpha <= 0 || c.Beta <= 0 {
-			return fmt.Errorf("ecocloud: alpha/beta = %v/%v must be positive", c.Alpha, c.Beta)
+		if !positive(c.Alpha) || !positive(c.Beta) {
+			return fmt.Errorf("ecocloud: alpha/beta = %v/%v must be positive and finite", c.Alpha, c.Beta)
 		}
-		if c.HighMigTaFactor <= 0 || c.HighMigTaFactor > 1 {
+		if !(c.HighMigTaFactor > 0 && c.HighMigTaFactor <= 1) {
 			return fmt.Errorf("ecocloud: HighMigTaFactor = %v outside (0,1]", c.HighMigTaFactor)
 		}
 	}
@@ -151,11 +148,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ecocloud: InviteGroups = %d negative", c.InviteGroups)
 	}
 	if c.RAM != nil {
-		if c.RAM.Ta <= 0 || c.RAM.Ta > 1 {
+		if !(c.RAM.Ta > 0 && c.RAM.Ta <= 1) {
 			return fmt.Errorf("ecocloud: RAM Ta = %v outside (0,1]", c.RAM.Ta)
 		}
-		if c.RAM.P <= 0 {
-			return fmt.Errorf("ecocloud: RAM p = %v must be positive", c.RAM.P)
+		if !positive(c.RAM.P) {
+			return fmt.Errorf("ecocloud: RAM p = %v must be positive and finite", c.RAM.P)
 		}
 		if c.RAM.Strategy != AllTrials && c.RAM.Strategy != CriticalPlusConstraints {
 			return fmt.Errorf("ecocloud: unknown multi-resource strategy %d", c.RAM.Strategy)

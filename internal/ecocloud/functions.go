@@ -31,11 +31,11 @@ type AssignProbFunc struct {
 
 // NewAssignProb builds the assignment function, validating its parameters.
 func NewAssignProb(ta, p float64) (AssignProbFunc, error) {
-	if ta <= 0 || ta > 1 {
+	if !(ta > 0 && ta <= 1) {
 		return AssignProbFunc{}, fmt.Errorf("ecocloud: Ta = %v outside (0,1]", ta)
 	}
-	if p <= 0 {
-		return AssignProbFunc{}, fmt.Errorf("ecocloud: p = %v must be positive", p)
+	if !positive(p) {
+		return AssignProbFunc{}, fmt.Errorf("ecocloud: p = %v must be positive and finite", p)
 	}
 	f := AssignProbFunc{Ta: ta, P: p}
 	f.mp = f.normalizer()
@@ -57,6 +57,10 @@ func (f AssignProbFunc) Eval(u float64) float64 {
 	}
 	return math.Pow(u, f.P) * (f.Ta - u) / f.mp
 }
+
+// positive reports whether x is a positive finite number. Every range check
+// is written so that NaN fails it.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // ArgMax returns the utilization at which fa peaks: Ta·p/(p+1).
 func (f AssignProbFunc) ArgMax() float64 { return f.Ta * f.P / (f.P + 1) }

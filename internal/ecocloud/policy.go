@@ -16,8 +16,9 @@ import (
 // procedures) in the shape the cluster driver runs. It is not safe for
 // concurrent use; the driver invokes callbacks sequentially.
 type Policy struct {
-	cfg Config
-	fa  AssignProbFunc
+	cfg  Config
+	fa   AssignProbFunc
+	band Band
 	// faRAM is the memory assignment function of the §V extension (zero
 	// value when cfg.RAM is nil).
 	faRAM AssignProbFunc
@@ -62,6 +63,7 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 	return &Policy{
 		cfg:     cfg,
 		fa:      fa,
+		band:    Band{Tl: cfg.Tl, Th: cfg.Th, Alpha: cfg.Alpha, Beta: cfg.Beta},
 		faRAM:   faRAM,
 		mgr:     master.Split("manager"),
 		servers: make(map[int]*rng.Source),
@@ -92,12 +94,19 @@ func (p *Policy) inGrace(s *dc.Server, now time.Duration) bool {
 	return s.State() == dc.Active && now-s.ActivatedAt() < p.cfg.Grace
 }
 
+// cooling reports whether server id's last successful low migration is
+// less than a cooldown ago.
+func (p *Policy) cooling(id int, now time.Duration) bool {
+	last := p.lastMig[id]
+	return last != 0 && now-last < p.cfg.Cooldown
+}
+
 // OnArrival implements the assignment procedure (§II): the manager invites
 // the active servers; each runs a Bernoulli trial on fa of its local
 // utilization; the manager assigns the VM to one of the available servers
 // uniformly at random; if none is available it wakes a hibernated server.
 func (p *Policy) OnArrival(env cluster.Env, vm *trace.VM) {
-	dest := p.selectDestination(env, p.fa, -1, true, vm.DemandAt(env.Now), vm.RAMMB)
+	dest := p.selectDestination(env, p.fa.Ta, -1, true, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		// Total saturation: every server active and none accepting. The VM
 		// still has to run somewhere; degrade gracefully onto the least
@@ -136,21 +145,15 @@ func (p *Policy) OnControl(env cluster.Env) {
 			continue
 		}
 		u := s.UtilizationAt(env.Now)
-		src := p.serverSrc(s.ID)
-		switch {
-		case u < p.cfg.Tl && !p.inGrace(s, env.Now):
-			// The cooldown paces only consolidation (low) migrations;
-			// overload relief must never wait.
-			if env.Now-p.lastMig[s.ID] < p.cfg.Cooldown && p.lastMig[s.ID] != 0 {
-				continue
-			}
-			if src.Bernoulli(MigrateLowProb(u, p.cfg.Tl, p.cfg.Alpha)) {
-				p.migrateLow(env, s)
-			}
-		case u > p.cfg.Th:
-			if src.Bernoulli(MigrateHighProb(u, p.cfg.Th, p.cfg.Beta)) {
-				p.migrateHigh(env, s, u)
-			}
+		// A low request waits out the grace period and the cooldown, which
+		// paces only consolidation; overload relief never waits. Both are
+		// looked up only for a server below Tl, the one case Scan reads them.
+		lowOK := u < p.cfg.Tl && !p.inGrace(s, env.Now) && !p.cooling(s.ID, env.Now)
+		switch p.band.Scan(p.serverSrc(s.ID), u, lowOK) {
+		case cluster.MigrationLow:
+			p.migrateLow(env, s, u)
+		case cluster.MigrationHigh:
+			p.migrateHigh(env, s, u)
 		}
 	}
 }
@@ -158,13 +161,12 @@ func (p *Policy) OnControl(env cluster.Env) {
 // migrateLow relocates one VM off an under-utilized server. Low migrations
 // never wake a server: activating one machine to hibernate another is a net
 // loss (§II), so if nobody accepts, the VM stays.
-func (p *Policy) migrateLow(env cluster.Env, s *dc.Server) {
-	vms := sortedVMs(s)
-	if len(vms) == 0 {
+func (p *Policy) migrateLow(env cluster.Env, s *dc.Server, u float64) {
+	vm := p.band.Pick(p.serverSrc(s.ID), cluster.MigrationLow, s.VMs(), env.Now, u, s.CapacityMHz())
+	if vm == nil {
 		return
 	}
-	vm := vms[p.serverSrc(s.ID).Intn(len(vms))]
-	dest := p.selectDestination(env, p.fa, s.ID, false, vm.DemandAt(env.Now), vm.RAMMB)
+	dest := p.selectDestination(env, p.fa.Ta, s.ID, false, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		return
 	}
@@ -183,45 +185,17 @@ func (p *Policy) migrateLow(env cluster.Env, s *dc.Server) {
 	}
 }
 
-// migrateHigh relocates one VM off an overloaded server. The candidate set
-// is the VMs big enough that removing one brings utilization back under Th;
-// if none qualifies, the largest VM goes (and later trials migrate more).
-// Destination selection runs with the tightened threshold Ta' = 0.9·u so the
-// VM provably lands on a less-loaded server (no ping-pong), and may wake a
-// hibernated server: relieving overload justifies the power.
+// migrateHigh relocates one VM off an overloaded server, chosen by
+// Band.Pick. Destination selection runs with the tightened threshold Ta' so
+// the VM provably lands on a less-loaded server (no ping-pong), and may wake
+// a hibernated server: relieving overload justifies the power.
 func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
-	vms := sortedVMs(s)
-	if len(vms) == 0 {
+	vm := p.band.Pick(p.serverSrc(s.ID), cluster.MigrationHigh, s.VMs(), env.Now, u, s.CapacityMHz())
+	if vm == nil {
 		return
 	}
-	needMHz := (u - p.cfg.Th) * s.CapacityMHz()
-	var candidates []*trace.VM
-	for _, vm := range vms {
-		if vm.DemandAt(env.Now) >= needMHz {
-			candidates = append(candidates, vm)
-		}
-	}
-	var vm *trace.VM
-	if len(candidates) > 0 {
-		vm = candidates[p.serverSrc(s.ID).Intn(len(candidates))]
-	} else {
-		vm = vms[0]
-		for _, v := range vms[1:] {
-			if v.DemandAt(env.Now) > vm.DemandAt(env.Now) {
-				vm = v
-			}
-		}
-	}
-	taPrime := p.cfg.HighMigTaFactor * u
-	if taPrime > p.cfg.Ta {
-		taPrime = p.cfg.Ta
-	}
-	fa, err := p.fa.WithThreshold(taPrime)
-	if err != nil {
-		// taPrime <= 0 can only happen with u ~ 0, unreachable above Th.
-		panic(fmt.Sprintf("ecocloud: tightened threshold %v: %v", taPrime, err))
-	}
-	dest := p.selectDestination(env, fa, s.ID, true, vm.DemandAt(env.Now), vm.RAMMB)
+	ta := TightenedTa(p.cfg.HighMigTaFactor, u, p.cfg.Ta)
+	dest := p.selectDestination(env, ta, s.ID, true, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		return
 	}
@@ -232,17 +206,18 @@ func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
 }
 
 // selectDestination runs one invitation round: collect the active servers
-// (minus exclude), possibly sample an invitation subset, let each run its
-// Bernoulli trial on fa, and pick uniformly among the accepting ones. With
-// no acceptor and allowWake set, a hibernated server is woken and returned
-// (its grace period starts now). Returns nil when no destination exists.
+// (minus exclude), possibly sample an invitation subset, let each answer
+// under the round threshold ta, and pick uniformly among the accepting ones.
+// With no acceptor and allowWake set, a hibernated server is woken and
+// returned (its grace period starts now). Returns nil when no destination
+// exists.
 //
 // The invitation carries the VM's CPU demand (the manager knows the
 // application's resource requirements, §I), and availability includes the
 // feasibility check u + demand/capacity <= Ta: a server never volunteers for
 // a VM that would push it past the threshold, which matters for the heavy
 // tail of CPU-hungry VMs.
-func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude int, allowWake bool, demandMHz, ramMB float64) *dc.Server {
+func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, allowWake bool, demandMHz, ramMB float64) *dc.Server {
 	group := -1
 	if g := p.cfg.InviteGroups; g > 1 {
 		group = p.nextGroup % g
@@ -272,28 +247,15 @@ func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude i
 	utils := utilizations(env.Pool, invited, env.Now)
 	var accepted []*dc.Server
 	for i, s := range invited {
-		u := utils[i]
-		fits := u+demandMHz/s.CapacityMHz() <= fa.Ta
-		ramU := 0.0
-		if p.cfg.RAM != nil && s.Spec.RAMMB > 0 {
-			ramU = s.RAMUtilization()
-			if ramU+ramMB/s.Spec.RAMMB > p.cfg.RAM.Ta {
-				fits = false
-			}
+		load := demandMHz / s.CapacityMHz()
+		grace := p.inGrace(s, env.Now)
+		var ok bool
+		if p.cfg.RAM == nil || s.Spec.RAMMB <= 0 {
+			ok = p.fa.Accept(p.serverSrc(s.ID), ta, utils[i], load, grace)
+		} else {
+			ok = p.multiAccept(s, ta, utils[i], load, ramMB, grace)
 		}
-		if p.inGrace(s, env.Now) {
-			// A newly activated server always answers invitations
-			// positively while the VM still fits under the effective
-			// thresholds (§IV).
-			if fits {
-				accepted = append(accepted, s)
-			}
-			continue
-		}
-		if !fits {
-			continue
-		}
-		if p.multiTrial(s, fa, u, ramU) {
+		if ok {
 			accepted = append(accepted, s)
 		}
 	}
@@ -322,7 +284,7 @@ func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude i
 		}
 		sleeping = append(sleeping, s)
 		fitsRAM := p.cfg.RAM == nil || s.Spec.RAMMB <= 0 || ramMB <= p.cfg.RAM.Ta*s.Spec.RAMMB
-		if demandMHz <= fa.Ta*s.CapacityMHz() && fitsRAM {
+		if demandMHz <= ta*s.CapacityMHz() && fitsRAM {
 			fitting = append(fitting, s)
 		}
 	}
@@ -346,20 +308,27 @@ func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude i
 	return wake
 }
 
-// multiTrial runs the availability trial(s) for a server that already
-// passed the feasibility checks: CPU-only (the paper's core algorithm) when
-// the RAM extension is off or the server does not model memory, otherwise
-// one of the two §V strategies.
-func (p *Policy) multiTrial(s *dc.Server, fa AssignProbFunc, u, ramU float64) bool {
-	src := p.serverSrc(s.ID)
-	if p.cfg.RAM == nil || s.Spec.RAMMB <= 0 {
-		return src.Bernoulli(fa.Eval(u))
+// multiAccept is Accept extended to memory for a server that models it
+// (§V): the VM must fit under both thresholds, a server in grace then
+// accepts outright, and otherwise the configured strategy runs its trials.
+func (p *Policy) multiAccept(s *dc.Server, ta, u, load, ramMB float64, grace bool) bool {
+	ramU := s.RAMUtilization()
+	if u+load > ta || ramU+ramMB/s.Spec.RAMMB > p.cfg.RAM.Ta {
+		return false
 	}
+	if grace {
+		return true
+	}
+	fa, err := p.fa.at(ta)
+	if err != nil {
+		return false
+	}
+	src := p.serverSrc(s.ID)
 	switch p.cfg.RAM.Strategy {
 	case CriticalPlusConstraints:
 		// Single trial on the most critical resource; the other resource's
 		// threshold was already enforced as a feasibility constraint.
-		if ramU/p.faRAM.Ta > u/fa.Ta {
+		if ramU/p.faRAM.Ta > u/ta {
 			return src.Bernoulli(p.faRAM.Eval(ramU))
 		}
 		return src.Bernoulli(fa.Eval(u))
@@ -385,14 +354,6 @@ func utilizations(pool *par.Pool, servers []*dc.Server, now time.Duration) []flo
 	}
 	par.For(pool, len(servers), func(i int) { out[i] = servers[i].UtilizationAt(now) })
 	return out
-}
-
-// sortedVMs returns s's VMs in ID order, so random selection by a
-// deterministic stream is itself deterministic (map iteration is not).
-func sortedVMs(s *dc.Server) []*trace.VM {
-	vms := s.VMs()
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
-	return vms
 }
 
 // leastUtilized returns the active server with the lowest utilization, or

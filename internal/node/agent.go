@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
 	"repro/internal/netsim"
@@ -31,6 +32,7 @@ type agent struct {
 	dcen   *dc.DataCenter
 	vmByID map[int]*trace.VM
 	fa     ecocloud.AssignProbFunc
+	band   ecocloud.Band
 	srcs   []*rng.Source // per local server
 	pm     dc.PowerModel
 
@@ -88,6 +90,7 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 		dcen:   dc.New(dc.UniformFleet(span.Size(), cfg.Cores, cfg.CoreMHz)),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
 		fa:     fa,
+		band:   ecocloud.Band{Tl: pcfg.Tl, Th: pcfg.Th, Alpha: pcfg.Alpha, Beta: pcfg.Beta},
 		srcs:   make([]*rng.Source, span.Size()),
 		pm:     dc.DefaultPowerModel(),
 		tr:     tr,
@@ -214,34 +217,13 @@ func (a *agent) onInvite(m inviteMsg) {
 		if globalID == m.Exclude || s.State() != dc.Active {
 			continue
 		}
-		if a.serverAccepts(s, a.srcs[i], now, m.Demand, m.Ta) {
+		// The same kernel call as the netsim cluster's servers make.
+		if a.fa.Accept(a.srcs[i], m.Ta, s.UtilizationAt(now), m.Demand/s.CapacityMHz(),
+			now-s.ActivatedAt() < a.pcfg.Grace) {
 			accepts = append(accepts, int32(globalID))
 		}
 	}
 	a.send(driverNode, kindReply, replyMsg{Round: m.Round, Node: a.node, Accepts: accepts}, a.pcfg.ReplySize)
-}
-
-// serverAccepts is the local availability decision, identical to the netsim
-// cluster's: feasibility under the round's effective threshold, the
-// grace-period rule, then the Bernoulli trial on fa(u).
-func (a *agent) serverAccepts(s *dc.Server, src *rng.Source, now time.Duration, demand, ta float64) bool {
-	u := s.UtilizationAt(now)
-	if u+demand/s.CapacityMHz() > ta {
-		return false
-	}
-	if now-s.ActivatedAt() < a.pcfg.Grace {
-		return true
-	}
-	fa := a.fa
-	//ecolint:allow float-eq — Ta is copied verbatim from the config, so exact inequality means a real override
-	if ta != a.fa.Ta {
-		tightened, err := a.fa.WithThreshold(ta)
-		if err != nil {
-			return false
-		}
-		fa = tightened
-	}
-	return src.Bernoulli(fa.Eval(u))
 }
 
 // onAssign places a VM on the driver-chosen server, waking it first when
@@ -315,57 +297,17 @@ func (a *agent) onScan(m scanMsg) {
 			continue
 		}
 		u := s.UtilizationAt(now)
-		src := a.srcs[i]
-		switch {
-		case u < a.pcfg.Tl && now-s.ActivatedAt() >= a.pcfg.Grace:
-			if src.Bernoulli(ecocloud.MigrateLowProb(u, a.pcfg.Tl, a.pcfg.Alpha)) {
-				if vmID, ok := a.pickMigrationVM(s, src, now, u, false); ok {
-					out.MigReqs = append(out.MigReqs, migReqEntry{Server: int32(globalID), VMID: int32(vmID), U: u})
-				}
-			}
-		case u > a.pcfg.Th:
-			if src.Bernoulli(ecocloud.MigrateHighProb(u, a.pcfg.Th, a.pcfg.Beta)) {
-				if vmID, ok := a.pickMigrationVM(s, src, now, u, true); ok {
-					out.MigReqs = append(out.MigReqs, migReqEntry{Server: int32(globalID), VMID: int32(vmID), High: true, U: u})
-				}
-			}
+		kind := a.band.Scan(a.srcs[i], u, now-s.ActivatedAt() >= a.pcfg.Grace)
+		if kind == "" {
+			continue
+		}
+		if vm := a.band.Pick(a.srcs[i], kind, s.VMs(), now, u, s.CapacityMHz()); vm != nil {
+			out.MigReqs = append(out.MigReqs, migReqEntry{
+				Server: int32(globalID), VMID: int32(vm.ID), High: kind == cluster.MigrationHigh, U: u,
+			})
 		}
 	}
 	a.send(driverNode, kindScandone, out, a.pcfg.ReplySize)
-}
-
-// pickMigrationVM applies the §II selection rules on the server's ID-sorted
-// VM list: high migrations prefer a uniformly chosen VM big enough to clear
-// the overload (falling back to the largest), low migrations take any VM
-// uniformly.
-func (a *agent) pickMigrationVM(s *dc.Server, src *rng.Source, now time.Duration, u float64, high bool) (int, bool) {
-	candidates := s.VMs()
-	if len(candidates) == 0 {
-		return 0, false
-	}
-	var vm *trace.VM
-	if high {
-		need := (u - a.pcfg.Th) * s.CapacityMHz()
-		var big []*trace.VM
-		for _, v := range candidates {
-			if v.DemandAt(now) >= need {
-				big = append(big, v)
-			}
-		}
-		if len(big) > 0 {
-			vm = big[src.Intn(len(big))]
-		} else {
-			vm = candidates[0]
-			for _, v := range candidates[1:] {
-				if v.DemandAt(now) > vm.DemandAt(now) {
-					vm = v
-				}
-			}
-		}
-	} else {
-		vm = candidates[src.Intn(len(candidates))]
-	}
-	return vm.ID, true
 }
 
 // onWake activates a hibernated server ahead of an incoming migration.

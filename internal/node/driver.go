@@ -363,10 +363,7 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 	demand := vm.DemandAt(now)
 	ta := d.fa.Ta
 	if mr.High {
-		ta = d.pcfg.HighMigTaFactor * mr.U
-		if ta > d.fa.Ta {
-			ta = d.fa.Ta
-		}
+		ta = ecocloud.TightenedTa(d.pcfg.HighMigTaFactor, mr.U, ta)
 	}
 	if accepts := d.round(now, ta, demand, src); len(accepts) > 0 {
 		d.migrate(now, vmID, src, accepts[d.mgr.Intn(len(accepts))], mr.High)

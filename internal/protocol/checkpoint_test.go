@@ -64,7 +64,7 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("network counters did not round-trip")
 	}
 	for _, id := range []int{0, 3, 5} {
-		if a, b := c.serverSrc(id).Float64(), q.serverSrc(id).Float64(); a != b {
+		if a, b := c.servers[id].Float64(), q.servers[id].Float64(); a != b {
 			t.Fatalf("server %d stream diverged", id)
 		}
 	}

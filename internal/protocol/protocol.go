@@ -122,10 +122,10 @@ type Config struct {
 
 	// Workers shards the migration scan's per-server decision phase (demand
 	// read + Bernoulli trial on the server's private stream) across an
-	// internal/par pool (0 = sequential). The hibernations and MIGREQ sends
-	// those decisions trigger are applied afterwards in server-index order,
-	// so message traffic — and therefore every downstream draw and event —
-	// is bit-identical to the sequential scan at every worker count.
+	// internal/par pool (0 = no goroutines). The hibernations and MIGREQ
+	// sends those decisions trigger are applied afterwards in server-index
+	// order, so message traffic — and therefore every downstream draw and
+	// event — is bit-identical at every worker count.
 	Workers int
 
 	// Obs, when set, receives protocol telemetry: placements, wake-ups,
@@ -159,12 +159,16 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if _, err := ecocloud.NewAssignProb(c.Ta, c.P); err != nil {
+	// The decision parameters mean what they mean to the ecocloud.Policy.
+	ec := ecocloud.Config{
+		Ta: c.Ta, P: c.P, Grace: c.Grace,
+		Tl: c.Tl, Th: c.Th, Alpha: c.Alpha, Beta: c.Beta, HighMigTaFactor: c.HighMigTaFactor,
+		DisableMigration: !c.EnableMigration,
+	}
+	if err := ec.Validate(); err != nil {
 		return err
 	}
 	switch {
-	case c.Grace < 0:
-		return fmt.Errorf("protocol: Grace = %v", c.Grace)
 	case c.Mode == Groups && c.Groups < 2:
 		return fmt.Errorf("protocol: Groups mode with %d groups", c.Groups)
 	case c.Mode == Subset && c.Subset < 1:
@@ -185,12 +189,6 @@ func (c Config) Validate() error {
 	}
 	if c.EnableMigration {
 		switch {
-		case c.Tl < 0 || c.Tl >= c.Th || c.Th >= 1:
-			return fmt.Errorf("protocol: migration thresholds Tl=%v Th=%v", c.Tl, c.Th)
-		case c.Alpha <= 0 || c.Beta <= 0:
-			return fmt.Errorf("protocol: migration shapes alpha=%v beta=%v", c.Alpha, c.Beta)
-		case c.HighMigTaFactor <= 0 || c.HighMigTaFactor > 1:
-			return fmt.Errorf("protocol: HighMigTaFactor = %v", c.HighMigTaFactor)
 		case c.ScanInterval <= 0:
 			return fmt.Errorf("protocol: ScanInterval = %v", c.ScanInterval)
 		case c.TransferBytes <= 0:
@@ -299,8 +297,9 @@ func serverNode(id int) netsim.NodeID { return netsim.NodeID(id + 1) }
 
 // Cluster wires the manager, the servers, the network and the data center.
 type Cluster struct {
-	cfg Config
-	fa  ecocloud.AssignProbFunc
+	cfg  Config
+	fa   ecocloud.AssignProbFunc
+	band ecocloud.Band
 
 	eng *sim.Engine
 	// net is the message fabric every send goes through. nsim is non-nil
@@ -311,8 +310,10 @@ type Cluster struct {
 	nsim *netsim.Network
 	dc   *dc.DataCenter
 
-	mgr     *rng.Source
-	master  *rng.Source
+	mgr    *rng.Source
+	master *rng.Source
+	// servers holds every server's private stream, derived up front so the
+	// scan's decision phase only ever reads the map.
 	servers map[int]*rng.Source
 
 	rounds    map[int]*round
@@ -336,29 +337,22 @@ type Cluster struct {
 	gate     WakeGate
 	onPlaced func(vmID int, now time.Duration)
 
-	// pool shards the migration scan's decision phase when cfg.Workers > 0;
-	// scan is its per-tick decision buffer, index-parallel to dc.Servers.
+	// pool shards the migration scan's decision phase (nil when cfg.Workers
+	// is 0); scan is its per-tick decision buffer, index-parallel to
+	// dc.Servers.
 	pool *par.Pool
 	scan []scanDecision
 
 	Stats Stats
 }
 
-// scanDecision is one server's outcome of the migration scan's parallel
-// decision phase; the apply phase folds these in server-index order.
+// scanDecision is one server's outcome of the migration scan's decision
+// phase; the apply phase folds these in server-index order.
 type scanDecision struct {
-	act scanAction
-	u   float64
+	hibernate bool
+	kind      string // ecocloud.Band.Scan's verdict
+	u         float64
 }
-
-type scanAction uint8
-
-const (
-	scanNone scanAction = iota
-	scanHibernate
-	scanLow
-	scanHigh
-)
 
 // pendingWake is the manager's book entry for one in-flight wake: how much
 // demand has been promised to the server and by how many assignments.
@@ -423,12 +417,14 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 	c := &Cluster{
 		cfg:          cfg,
 		fa:           fa,
+		band:         ecocloud.Band{Tl: cfg.Tl, Th: cfg.Th, Alpha: cfg.Alpha, Beta: cfg.Beta},
 		eng:          eng,
 		net:          tr,
 		dc:           dc.New(specs),
 		mgr:          master.Split("manager"),
 		master:       master,
-		servers:      make(map[int]*rng.Source),
+		servers:      make(map[int]*rng.Source, len(specs)),
+		scan:         make([]scanDecision, len(specs)),
 		rounds:       make(map[int]*round),
 		inflight:     make(map[int]bool),
 		pendingMig:   make(map[int]time.Duration),
@@ -438,16 +434,11 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 	for _, s := range c.dc.Servers {
 		s := s
 		c.net.Register(serverNode(s.ID), func(m netsim.Message) { c.onServerMessage(s, m) })
+		// Streams are keyed by label and ID, so creation order never matters.
+		c.servers[s.ID] = master.SplitIndex("server", s.ID)
 	}
 	if cfg.Workers > 0 {
 		c.pool = par.New(cfg.Workers)
-		c.scan = make([]scanDecision, len(c.dc.Servers))
-		// Pre-derive every server's private stream: the streams are keyed by
-		// label and ID (creation order never matters), and populating the map
-		// up front means the parallel scan phase only ever reads it.
-		for _, s := range c.dc.Servers {
-			c.serverSrc(s.ID)
-		}
 	}
 	if cfg.Obs.Enabled() {
 		eng.SetRecorder(cfg.Obs)
@@ -482,16 +473,6 @@ func (c *Cluster) MessagesSent() int { sent, _ := c.net.Stats(); return sent }
 
 // BytesSent returns the bytes delivered so far.
 func (c *Cluster) BytesSent() int64 { _, bytes := c.net.Stats(); return bytes }
-
-// serverSrc returns server id's private stream.
-func (c *Cluster) serverSrc(id int) *rng.Source {
-	s, ok := c.servers[id]
-	if !ok {
-		s = c.master.SplitIndex("server", id)
-		c.servers[id] = s
-	}
-	return s
-}
 
 // PlaceVM starts one invitation round for vm at the current virtual time.
 func (c *Cluster) PlaceVM(vm *trace.VM) {
@@ -618,7 +599,8 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 			return // crashed after the invitation went out: dead servers are silent
 		}
 		req := m.Payload.(inviteReq)
-		accept := c.serverAccepts(s, now, req.demand, req.ta)
+		accept := c.fa.Accept(c.servers[s.ID], req.ta, s.UtilizationAt(now),
+			req.demand/s.CapacityMHz(), now-s.ActivatedAt() < c.cfg.Grace)
 		if accept || !c.cfg.SilentReject {
 			c.net.Send(netsim.Message{
 				From: serverNode(s.ID), To: managerNode, Kind: "reply",
@@ -726,29 +708,6 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 	default:
 		panic(fmt.Sprintf("protocol: server %d got unexpected %q", s.ID, m.Kind))
 	}
-}
-
-// serverAccepts runs the local availability decision: feasibility under the
-// round's effective threshold, the grace-period rule, then the Bernoulli
-// trial on fa(u) with that threshold.
-func (c *Cluster) serverAccepts(s *dc.Server, now time.Duration, demand, ta float64) bool {
-	u := s.UtilizationAt(now)
-	if u+demand/s.CapacityMHz() > ta {
-		return false
-	}
-	if now-s.ActivatedAt() < c.cfg.Grace {
-		return true
-	}
-	fa := c.fa
-	//ecolint:allow float-eq — Ta is copied verbatim from the config, so exact inequality means a real override
-	if ta != c.fa.Ta {
-		tightened, err := c.fa.WithThreshold(ta)
-		if err != nil {
-			return false
-		}
-		fa = tightened
-	}
-	return c.serverSrc(s.ID).Bernoulli(fa.Eval(u))
 }
 
 // onManagerMessage handles reply and migreq messages at the manager.
@@ -966,128 +925,64 @@ func (c *Cluster) StartMigrationScan() {
 		panic("protocol: StartMigrationScan without EnableMigration")
 	}
 	c.eng.Every(c.cfg.ScanInterval, c.cfg.ScanInterval, "migration-scan", func(*sim.Engine) {
-		now := c.eng.Now()
-		if c.pool != nil {
-			c.scanParallel(now)
-			return
-		}
-		for _, s := range c.dc.Servers {
-			if s.State() != dc.Active {
-				continue
-			}
-			if s.NumVMs() == 0 {
-				if now-s.ActivatedAt() >= c.cfg.Grace {
-					if err := c.dc.Hibernate(s); err != nil {
-						panic(fmt.Sprintf("protocol: hibernating server %d: %v", s.ID, err))
-					}
-				}
-				continue
-			}
-			u := s.UtilizationAt(now)
-			src := c.serverSrc(s.ID)
-			switch {
-			case u < c.cfg.Tl && now-s.ActivatedAt() >= c.cfg.Grace:
-				if src.Bernoulli(ecocloud.MigrateLowProb(u, c.cfg.Tl, c.cfg.Alpha)) {
-					c.sendMigReq(s, now, u, "low")
-				}
-			case u > c.cfg.Th:
-				if src.Bernoulli(ecocloud.MigrateHighProb(u, c.cfg.Th, c.cfg.Beta)) {
-					c.sendMigReq(s, now, u, "high")
-				}
-			}
-		}
+		c.scanTick(c.eng.Now())
 	})
 }
 
-// scanParallel is the migration scan split into a fork-join decision phase
-// and a sequential apply phase, bit-identical to the sequential loop above:
+// scanTick is one monitoring tick, split into a decision phase and an
+// apply phase:
 //
-//   - Phase A (workers): each server reads its own utilization (a per-server
+//   - Decide (par.For: sharded across the pool, or inline in index order
+//     without one): each server reads its own utilization (a per-server
 //     demand-kernel mutation; no server is handed to two workers) and runs
-//     its Bernoulli trial on its private rng stream. A decision depends only
-//     on that server's state, because the actions the sequential loop takes
-//     mid-scan (hibernating s, sending a MIGREQ whose delivery is scheduled
-//     after the tick) never alter another server's utilization or streams.
-//   - Phase B (caller, server-index order): hibernations and MIGREQ sends
-//     fire in exactly the order the sequential scan fires them, so every
-//     per-server stream keeps its trial-then-pick draw order and the network
-//     stream sees sends in the same sequence.
-func (c *Cluster) scanParallel(now time.Duration) {
+//     its trial on its private rng stream. A decision depends only on that
+//     server's state, because the actions a tick takes (hibernating a
+//     server, sending a MIGREQ whose delivery is scheduled after the tick)
+//     never alter another server's utilization or stream.
+//   - Apply (caller, server-index order): hibernations and MIGREQ sends
+//     fire one server at a time, so every per-server stream keeps its
+//     trial-then-pick draw order and the network stream sees sends in the
+//     same sequence at every worker count.
+func (c *Cluster) scanTick(now time.Duration) {
 	par.For(c.pool, len(c.dc.Servers), func(i int) {
 		s := c.dc.Servers[i]
 		d := scanDecision{}
 		if s.State() == dc.Active {
+			grace := now-s.ActivatedAt() < c.cfg.Grace
 			if s.NumVMs() == 0 {
-				if now-s.ActivatedAt() >= c.cfg.Grace {
-					d.act = scanHibernate
-				}
+				d.hibernate = !grace
 			} else {
-				u := s.UtilizationAt(now)
-				src := c.serverSrc(s.ID) // pre-populated in New: read-only here
-				switch {
-				case u < c.cfg.Tl && now-s.ActivatedAt() >= c.cfg.Grace:
-					if src.Bernoulli(ecocloud.MigrateLowProb(u, c.cfg.Tl, c.cfg.Alpha)) {
-						d = scanDecision{act: scanLow, u: u}
-					}
-				case u > c.cfg.Th:
-					if src.Bernoulli(ecocloud.MigrateHighProb(u, c.cfg.Th, c.cfg.Beta)) {
-						d = scanDecision{act: scanHigh, u: u}
-					}
-				}
+				d.u = s.UtilizationAt(now)
+				d.kind = c.band.Scan(c.servers[s.ID], d.u, !grace)
 			}
 		}
 		c.scan[i] = d
 	})
 	for i, d := range c.scan {
 		s := c.dc.Servers[i]
-		switch d.act {
-		case scanHibernate:
+		switch {
+		case d.hibernate:
 			if err := c.dc.Hibernate(s); err != nil {
 				panic(fmt.Sprintf("protocol: hibernating server %d: %v", s.ID, err))
 			}
-		case scanLow:
-			c.sendMigReq(s, now, d.u, "low")
-		case scanHigh:
-			c.sendMigReq(s, now, d.u, "high")
+		case d.kind != "":
+			c.sendMigReq(s, now, d.u, d.kind)
 		}
 	}
 }
 
-// sendMigReq picks the VM to move (the §II selection rules) and asks the
-// manager for a destination.
+// sendMigReq picks the VM to move among those not already migrating and
+// asks the manager for a destination.
 func (c *Cluster) sendMigReq(s *dc.Server, now time.Duration, u float64, kind string) {
-	vms := s.VMs() // ID-sorted
 	var candidates []*trace.VM
-	for _, vm := range vms {
-		if c.inflight[vm.ID] {
-			continue
+	for _, vm := range s.VMs() { // ID-sorted
+		if !c.inflight[vm.ID] {
+			candidates = append(candidates, vm)
 		}
-		candidates = append(candidates, vm)
 	}
-	if len(candidates) == 0 {
+	vm := c.band.Pick(c.servers[s.ID], kind, candidates, now, u, s.CapacityMHz())
+	if vm == nil {
 		return
-	}
-	var vm *trace.VM
-	if kind == "high" {
-		need := (u - c.cfg.Th) * s.CapacityMHz()
-		var big []*trace.VM
-		for _, v := range candidates {
-			if v.DemandAt(now) >= need {
-				big = append(big, v)
-			}
-		}
-		if len(big) > 0 {
-			vm = big[c.serverSrc(s.ID).Intn(len(big))]
-		} else {
-			vm = candidates[0]
-			for _, v := range candidates[1:] {
-				if v.DemandAt(now) > vm.DemandAt(now) {
-					vm = v
-				}
-			}
-		}
-	} else {
-		vm = candidates[c.serverSrc(s.ID).Intn(len(candidates))]
 	}
 	c.inflight[vm.ID] = true
 	if c.cfg.MigTimeout > 0 {
@@ -1145,10 +1040,7 @@ func (c *Cluster) onMigReq(req migReq) {
 	demand := vm.DemandAt(now)
 	ta := c.fa.Ta
 	if req.kind == "high" {
-		ta = c.cfg.HighMigTaFactor * req.u
-		if ta > c.fa.Ta {
-			ta = c.fa.Ta
-		}
+		ta = ecocloud.TightenedTa(c.cfg.HighMigTaFactor, req.u, ta)
 	}
 	start := now
 	noAcceptor := func() {

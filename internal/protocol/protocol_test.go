@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -412,5 +413,98 @@ func TestMigrationTransferDominatesLatency(t *testing.T) {
 	perMig := c.Stats.MigrationLatency / time.Duration(c.Stats.MigrationsLow)
 	if perMig < 3*time.Second {
 		t.Fatalf("migration latency %v not transfer-dominated (~4s expected)", perMig)
+	}
+}
+
+// churnDay runs a small protocol day with migration scanning on a scan
+// pool of the given size, and returns its statistics, its wire traffic and
+// every VM's final host (-1 when not hosted).
+func churnDay(t *testing.T, workers int) (Stats, int, int64, []int) {
+	t.Helper()
+	churn := trace.DefaultChurnConfig()
+	churn.InitialVMs = 300
+	churn.ArrivalPerHour = 200
+	churn.Horizon = 6 * time.Hour
+	churn.DemandMedianMHz = 800 // heavy enough that some servers overload
+	ws, err := trace.GenerateChurn(churn, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.EnableMigration = true
+	cfg.Workers = workers
+	c, err := New(cfg, dc.UniformFleet(20, 6, 2000), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, vm := range ws.VMs {
+		vm := vm
+		c.Engine().Schedule(vm.Start, "arrival", func(*sim.Engine) { c.PlaceVM(vm) })
+		c.Engine().Schedule(vm.End, "departure", func(*sim.Engine) {
+			if _, ok := c.DC().HostOf(vm.ID); ok {
+				if _, err := c.DC().Remove(vm.ID); err != nil {
+					t.Errorf("departure of VM %d: %v", vm.ID, err)
+				}
+			}
+		})
+	}
+	c.StartMigrationScan()
+	c.Engine().Run(churn.Horizon)
+	hosts := make([]int, len(ws.VMs))
+	for i, vm := range ws.VMs {
+		hosts[i] = -1
+		if s, ok := c.DC().HostOf(vm.ID); ok {
+			hosts[i] = s.ID
+		}
+	}
+	return c.Stats, c.MessagesSent(), c.BytesSent(), hosts
+}
+
+// The scan's decision phase runs inline without a pool and sharded with
+// one: every worker count must give the same day, message for message.
+func TestScanWorkerCountInvariance(t *testing.T) {
+	stats, msgs, bytes, hosts := churnDay(t, 0)
+	if stats.MigrationsLow == 0 || stats.MigrationsHigh == 0 {
+		t.Fatalf("day too quiet to exercise the scan: %+v", stats)
+	}
+	for _, w := range []int{1, 4} {
+		s, m, b, h := churnDay(t, w)
+		if s != stats || m != msgs || b != bytes {
+			t.Fatalf("Workers=%d: stats %+v, %d msgs, %d bytes; Workers=0: %+v, %d msgs, %d bytes",
+				w, s, m, b, stats, msgs, bytes)
+		}
+		for i := range h {
+			if h[i] != hosts[i] {
+				t.Fatalf("Workers=%d: VM index %d ends on server %d, Workers=0 on %d", w, i, h[i], hosts[i])
+			}
+		}
+	}
+}
+
+// A NaN threshold fails every comparison, so a range check written as
+// x <= 0 || x > 1 lets it through.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"Ta", func(c *Config, x float64) { c.Ta = x }},
+		{"P", func(c *Config, x float64) { c.P = x }},
+		{"Tl", func(c *Config, x float64) { c.Tl = x }},
+		{"Th", func(c *Config, x float64) { c.Th = x }},
+		{"Alpha", func(c *Config, x float64) { c.Alpha = x }},
+		{"Beta", func(c *Config, x float64) { c.Beta = x }},
+		{"HighMigTaFactor", func(c *Config, x float64) { c.HighMigTaFactor = x }},
+	}
+	for _, f := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			cfg.EnableMigration = true
+			f.set(&cfg, x)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("Validate accepted %s = %v", f.name, x)
+			}
+		}
 	}
 }
