@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test bench bench-scale parscale figures faults forkedsweep knee ecod-smoke race cover clean
+.PHONY: all build vet lint lint-fixtures test bench parscale figures faults forkedsweep knee ecod-smoke race cover clean
 
 all: build vet lint test
 
@@ -38,11 +38,6 @@ cover:
 # One benchmark per paper figure plus the ablations (see bench_test.go).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Demand-kernel scalability sweep (400 -> 4,000 servers, cached vs naive);
-# writes out/BENCH_demand_kernel.json and verifies the runs are bit-identical.
-bench-scale:
-	$(GO) run ./cmd/ecobench -demand-bench -out out
 
 # Parallel-engine speedup curves (2,000 -> 10,000 servers, workers 0 -> 8);
 # writes out/BENCH_parallel_scale.json and verifies every pooled run is

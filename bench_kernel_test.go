@@ -14,9 +14,8 @@ import (
 // BenchmarkDemandKernel: the paper's server mix and VM-per-server ratio
 // (15:1) over a short horizon, heavy on exactly the pattern the kernel
 // accelerates — every arrival's invitation round reads utilization across
-// the whole fleet. cmd/ecobench -demand-bench runs the same scenario at
-// 400→4,000 servers and records BENCH_demand_kernel.json; this benchmark is
-// the CI smoke for it (`go test -bench=BenchmarkDemandKernel -benchtime=1x`).
+// the whole fleet. CI smoke-runs it
+// (`go test -bench=BenchmarkDemandKernel -benchtime=1x`).
 func demandKernelConfig(b *testing.B, servers int, disable bool) (cluster.RunConfig, cluster.Policy) {
 	b.Helper()
 	gen := trace.DefaultGenConfig()

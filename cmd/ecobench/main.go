@@ -41,7 +41,6 @@ func main() {
 		list      = flag.Bool("list", false, "list the registered experiments and exit")
 		markdown  = flag.String("markdown", "", "also assemble all figures into one Markdown report at this path")
 		htmlPath  = flag.String("html", "", "also assemble all figures into one self-contained HTML report (inline SVG charts)")
-		demandB   = flag.Bool("demand-bench", false, "run the demand-kernel scalability benchmark (400->4,000 servers) and write BENCH_demand_kernel.json, then exit")
 		parB      = flag.Bool("par-bench", false, "run the parallel-engine scalability benchmark (2,000->100,000 servers / 1M VMs, workers 0->8) and write BENCH_parallel_scale.json, then exit; requires GOMAXPROCS>=2")
 		parFloor  = flag.String("par-floor", "", "with -par-bench: fail if the pooled speedup at the largest fleet falls below the floor recorded in this JSON file")
 	)
@@ -71,13 +70,6 @@ func main() {
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-14s %s\n", e.Name, e.Description)
-		}
-		return
-	}
-	if *demandB {
-		if err := runDemandBench(*outDir, rc.Seed); err != nil {
-			fmt.Fprintln(os.Stderr, "ecobench:", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -137,10 +129,9 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 		return file.Close()
 	}
 
-	// The daily run's options double as the replication template; keep what
-	// the registry ran so -replicate reruns exactly that.
+	// The registry request doubles as the replication template, so
+	// -replicate reruns exactly what the registry ran.
 	req := experiments.RunRequest{Config: rc, Eco: &eco, Scale: scale, Exact: exact}
-	var daily *experiments.DailyResult
 	for _, e := range selected {
 		start := time.Now()
 		res, err := e.Run(req)
@@ -155,11 +146,7 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 				return err
 			}
 		}
-		if d, ok := res.Raw.(*experiments.DailyResult); ok {
-			daily = d
-		}
 	}
-	_ = daily
 
 	// Seed replication (not in the paper; quantifies run-to-run noise).
 	if replicate > 1 {

@@ -309,7 +309,6 @@ func runPlanetLab(opts experiments.DailyOptions, dir string, refMHz float64) (*e
 	ccfg := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
 	ccfg.Horizon = horizon
 	ccfg.RecordServerUtil = true
-	ccfg.Obs = nil // attached via the option below, not the deprecated field
 	copts := append([]cluster.Option{cluster.WithObs(opts.Obs)}, opts.Cluster...)
 	run, err := cluster.Run(ccfg, pol, copts...)
 	if err != nil {

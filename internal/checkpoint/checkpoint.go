@@ -12,7 +12,7 @@
 // control tick is provably the last event at its timestamp under the
 // engine's FIFO-within-timestamp ordering, so "state at end of control@T"
 // is a well-defined cut of the whole simulation. cluster.Run enforces that
-// by accepting only positive multiples of ControlInterval as CheckpointAt.
+// by accepting only positive multiples of ControlInterval in WithCheckpointAt.
 //
 // Fork produces an independent branch: rng streams are re-labeled through
 // rng.State.Fork, so sibling branches with distinct labels diverge

@@ -73,17 +73,6 @@ type RunConfig struct {
 	// (Figs. 6 and 12); costs Samples×Servers float64s.
 	RecordServerUtil bool
 
-	// EventLog, when set, receives one JSON line per data-center mutation:
-	// {"t_ns":..., "kind":"place|remove|migrate|activate|hibernate",
-	//  "vm":..., "server":..., "dest":...}. Useful for debugging policies
-	// and for external analysis; adds encoding cost per event. Setup
-	// mutations (the SpreadRoundRobin pre-placement) are not journaled:
-	// the log reflects policy behaviour only, matching the counters.
-	//
-	// Deprecated: prefer passing cluster.WithEventLog(w) to Run. The field
-	// keeps working; the option overrides it when both are given.
-	EventLog io.Writer
-
 	// DisableDemandCache turns off the incremental demand kernel, forcing
 	// every Server.DemandAt back to the naive per-VM recomputation. Results
 	// are bit-identical either way (that is the kernel's contract); the
@@ -91,47 +80,13 @@ type RunConfig struct {
 	// scalability benchmarks.
 	DisableDemandCache bool
 
-	// Obs, when set, receives run telemetry: engine metrics (events, queue
-	// depth, handler wall time), cluster counters (assignments, removals,
-	// migrations by kind, activations, hibernations, overload ticks), live
-	// gauges (sim time, active servers), and — when the recorder carries a
-	// journal — one JSONL event per policy-driven data-center mutation
-	// (setup pre-placement is excluded, like EventLog). Nil (the default)
-	// costs the run nothing.
-	//
-	// Deprecated: prefer passing cluster.WithObs(r) to Run. The field keeps
-	// working; the option overrides it when both are given.
-	Obs *obs.Recorder
-
-	// CheckpointAt, when nonzero, makes Run capture a full checkpoint at the
-	// end of the control tick at that virtual time and hand it to
-	// CheckpointSink. The control tick is the last event at its timestamp
-	// (for t > 0), so the capture is a well-defined cut of the simulation;
-	// CheckpointAt must be a positive multiple of ControlInterval and before
-	// the horizon. Capture is pure reads: a checkpointing run's results are
-	// bit-identical to a non-checkpointing one.
-	CheckpointAt time.Duration
-	// CheckpointSink receives the captured checkpoint. A non-nil error
-	// aborts the run and is returned from Run.
-	CheckpointSink func(*checkpoint.Checkpoint) error
-	// CheckpointStop stops the run right after the capture is delivered; the
-	// returned Result then covers only the prefix [0, CheckpointAt].
-	CheckpointStop bool
-	// Resume, when set, starts the run from the checkpoint instead of t=0:
-	// the data center, policy state, rng streams, driver accounting and obs
-	// counters are reinstated, arrivals and departures before the capture
-	// point are skipped, and the tick cadences continue exactly where the
-	// captured run left off — the continued run is bit-identical (CSV and
-	// journal) to the uninterrupted one. The rest of the configuration must
-	// rebuild the same fleet, workload and cadences the checkpoint was
-	// captured under. Set via WithResume.
-	Resume *checkpoint.Checkpoint
-
-	// obsFieldOverridden / eventLogFieldOverridden record that an explicit
-	// option displaced a non-nil deprecated field, so Run can warn once (the
-	// option wins, the field is ignored).
-	obsFieldOverridden      bool
-	eventLogFieldOverridden bool
+	// Run attachments, set only through the With* options (see Option).
+	obs            *obs.Recorder
+	eventLog       io.Writer
+	checkpointAt   time.Duration
+	checkpointSink func(*checkpoint.Checkpoint) error
+	checkpointStop bool
+	resume         *checkpoint.Checkpoint
 }
 
 // Validate reports whether the run configuration is usable.
@@ -156,20 +111,20 @@ func (c RunConfig) Validate() error {
 	case c.Workers < 0:
 		return fmt.Errorf("cluster: Workers = %d", c.Workers)
 	}
-	if c.CheckpointAt != 0 {
+	if c.checkpointAt != 0 {
 		switch {
-		case c.CheckpointAt < 0:
-			return fmt.Errorf("cluster: CheckpointAt = %v", c.CheckpointAt)
-		case c.CheckpointAt%c.ControlInterval != 0:
-			return fmt.Errorf("cluster: CheckpointAt %v is not a multiple of the control interval %v", c.CheckpointAt, c.ControlInterval)
-		case c.CheckpointAt >= c.Horizon:
-			return fmt.Errorf("cluster: CheckpointAt %v is not before the horizon %v", c.CheckpointAt, c.Horizon)
-		case c.CheckpointSink == nil:
-			return fmt.Errorf("cluster: CheckpointAt without a CheckpointSink")
+		case c.checkpointAt < 0:
+			return fmt.Errorf("cluster: WithCheckpointAt = %v", c.checkpointAt)
+		case c.checkpointAt%c.ControlInterval != 0:
+			return fmt.Errorf("cluster: WithCheckpointAt %v is not a multiple of the control interval %v", c.checkpointAt, c.ControlInterval)
+		case c.checkpointAt >= c.Horizon:
+			return fmt.Errorf("cluster: WithCheckpointAt %v is not before the horizon %v", c.checkpointAt, c.Horizon)
+		case c.checkpointSink == nil:
+			return fmt.Errorf("cluster: WithCheckpointAt without a sink")
 		}
 	}
-	if c.CheckpointStop && c.CheckpointAt == 0 {
-		return fmt.Errorf("cluster: CheckpointStop without CheckpointAt")
+	if c.checkpointStop && c.checkpointAt == 0 {
+		return fmt.Errorf("cluster: WithCheckpointStop without WithCheckpointAt")
 	}
 	return nil
 }
@@ -229,7 +184,7 @@ type Result struct {
 	DemandCache dc.DemandCacheStats
 }
 
-// journalLine is the EventLog wire format.
+// journalLine is the WithEventLog wire format.
 type journalLine struct {
 	TNS    int64  `json:"t_ns"`
 	Kind   string `json:"kind"`
@@ -274,21 +229,9 @@ func observeDCEvent(r *obs.Recorder, now time.Duration, e dc.Event) {
 	}
 }
 
-// warnDeprecatedField emits the single warning Run produces when an explicit
-// option displaced a non-nil deprecated RunConfig field (the option wins).
-func warnDeprecatedField(r *obs.Recorder, field string) {
-	if !r.Enabled() {
-		return
-	}
-	r.Count("cluster.deprecated_field_ignored", 1)
-	if r.Journaling() {
-		r.Emit(0, "deprecated_field_ignored", map[string]any{"field": field})
-	}
-}
-
 // Run executes the workload against the policy and collects metrics.
-// Options are applied to cfg (overriding its fields) before validation; see
-// Option for the attachment knobs available.
+// Options are applied to cfg before validation; see Option for the
+// attachments available.
 func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	for _, opt := range opts {
 		opt(&cfg)
@@ -299,17 +242,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	// Deprecated-field precedence: an explicit option wins over the
-	// deprecated RunConfig field. The displaced field is ignored and the run
-	// says so exactly once, on the recorder that won.
-	if cfg.obsFieldOverridden {
-		warnDeprecatedField(cfg.Obs, "Obs")
-	}
-	if cfg.eventLogFieldOverridden {
-		warnDeprecatedField(cfg.Obs, "EventLog")
-	}
-
-	resume := cfg.Resume
+	resume := cfg.resume
 	var resumeAt time.Duration
 	if resume != nil {
 		if err := resume.Validate(); err != nil {
@@ -323,8 +256,8 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			return nil, fmt.Errorf("cluster: checkpoint at %v is not before the horizon %v", resumeAt, cfg.Horizon)
 		case resumeAt%cfg.ControlInterval != 0:
 			return nil, fmt.Errorf("cluster: checkpoint at %v is not aligned to the control interval %v", resumeAt, cfg.ControlInterval)
-		case cfg.CheckpointAt != 0 && cfg.CheckpointAt <= resumeAt:
-			return nil, fmt.Errorf("cluster: CheckpointAt %v is not after the resume point %v", cfg.CheckpointAt, resumeAt)
+		case cfg.checkpointAt != 0 && cfg.checkpointAt <= resumeAt:
+			return nil, fmt.Errorf("cluster: WithCheckpointAt %v is not after the resume point %v", cfg.checkpointAt, resumeAt)
 		}
 	}
 
@@ -344,7 +277,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	d.SetDemandCache(!cfg.DisableDemandCache)
 	rec := NewRecorder(cfg.SampleInterval)
 	eng := sim.New()
-	eng.SetRecorder(cfg.Obs)
+	eng.SetRecorder(cfg.obs)
 
 	// Fork-join pool for the per-server work of each control round. nil when
 	// Workers is 0, which keeps every existing sequential code path (and its
@@ -413,10 +346,10 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// inflate cluster.assignments / cluster.wakeups and pollute the JSONL
 	// journal on SpreadRoundRobin runs even though d.Activations was reset.
 	var enc *json.Encoder
-	if cfg.EventLog != nil {
-		enc = json.NewEncoder(cfg.EventLog)
+	if cfg.eventLog != nil {
+		enc = json.NewEncoder(cfg.eventLog)
 	}
-	if enc != nil || cfg.Obs.Enabled() {
+	if enc != nil || cfg.obs.Enabled() {
 		d.SetJournal(func(e dc.Event) {
 			if enc != nil {
 				// Encoding errors must not corrupt the simulation; the
@@ -429,7 +362,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 					Dest:   e.Dest,
 				})
 			}
-			observeDCEvent(cfg.Obs, eng.Now(), e)
+			observeDCEvent(cfg.obs, eng.Now(), e)
 		})
 	}
 
@@ -486,7 +419,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			return nil, err
 		}
 		if resume.Obs != nil {
-			cfg.Obs.RestoreMetrics(*resume.Obs)
+			cfg.obs.RestoreMetrics(*resume.Obs)
 		}
 	}
 
@@ -588,7 +521,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			acc.winVMTicks += sl.NVMs
 			if sl.Over {
 				acc.winVMOverTicks += sl.NVMs
-				cfg.Obs.Count("cluster.overload_server_ticks", 1)
+				cfg.obs.Count("cluster.overload_server_ticks", 1)
 			}
 			if !measured {
 				continue
@@ -619,25 +552,25 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		if slice > 0 {
 			res.EnergyKWh += d.PowerAt(now, cfg.PowerModel) * slice.Hours() / 1000
 		}
-		if cfg.Obs.Enabled() {
-			cfg.Obs.Gauge("cluster.active_servers", int64(d.ActiveCount()))
-			cfg.Obs.Gauge("cluster.vms_placed", int64(d.NumPlaced()))
+		if cfg.obs.Enabled() {
+			cfg.obs.Gauge("cluster.active_servers", int64(d.ActiveCount()))
+			cfg.obs.Gauge("cluster.vms_placed", int64(d.NumPlaced()))
 		}
-		// Checkpoint capture: the end of the control tick at CheckpointAt is
+		// Checkpoint capture: the end of the control tick at checkpointAt is
 		// the last instruction executed at that timestamp, so the captured
-		// state is exactly "the simulation after time CheckpointAt". Capture
+		// state is exactly "the simulation after time checkpointAt". Capture
 		// reads; it never mutates — the run's own results are unchanged.
-		if cfg.CheckpointAt != 0 && now == cfg.CheckpointAt {
+		if cfg.checkpointAt != 0 && now == cfg.checkpointAt {
 			ck, err := captureCheckpoint(&cfg, policy, Env{Now: now, DC: d, Rec: rec, Pool: pool}, res, rec, &acc, now)
 			if err == nil {
-				err = cfg.CheckpointSink(ck)
+				err = cfg.checkpointSink(ck)
 			}
 			if err != nil {
 				capErr = fmt.Errorf("cluster: checkpoint at %v: %w", now, err)
 				e.Stop()
 				return
 			}
-			if cfg.CheckpointStop {
+			if cfg.checkpointStop {
 				e.Stop()
 			}
 		}
@@ -646,7 +579,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// Sample tick: record the reported series.
 	sampleTick := func(e *sim.Engine) {
 		now := e.Now()
-		cfg.Obs.SampleMemory()
+		cfg.obs.SampleMemory()
 		res.ActiveServers.Add(now, float64(d.ActiveCount()))
 		res.PowerW.Add(now, d.PowerAt(now, cfg.PowerModel))
 		res.OverallLoad.Add(now, totalDemandAt(now)/totalCapacity)
@@ -715,10 +648,10 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	res.SwitchEnergyKWh = cfg.PowerModel.SwitchEnergyKWh(d.Activations + d.Hibernations)
 	res.EnergyKWh += res.SwitchEnergyKWh
 	res.DemandCache = d.DemandCacheStats()
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Count("dc.demand_cache.hits", int64(res.DemandCache.Hits))
-		cfg.Obs.Count("dc.demand_cache.misses", int64(res.DemandCache.Misses))
-		cfg.Obs.Count("dc.demand_cache.invalidations", int64(res.DemandCache.Invalidations))
+	if cfg.obs.Enabled() {
+		cfg.obs.Count("dc.demand_cache.hits", int64(res.DemandCache.Hits))
+		cfg.obs.Count("dc.demand_cache.misses", int64(res.DemandCache.Misses))
+		cfg.obs.Count("dc.demand_cache.invalidations", int64(res.DemandCache.Invalidations))
 	}
 	if acc.controlTicks > 0 {
 		res.MeanActiveServers = acc.activeTickSum / acc.controlTicks

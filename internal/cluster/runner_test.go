@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -255,12 +256,14 @@ func TestRunSpreadRoundRobinTelemetryClean(t *testing.T) {
 	var jbuf, ebuf bytes.Buffer
 	cfg := baseConfig(ws)
 	cfg.Initial = cluster.SpreadRoundRobin
-	cfg.Obs = obs.NewRecorder(nil, obs.NewJournal(&jbuf))
-	cfg.EventLog = &ebuf
-	if _, err := cluster.Run(cfg, &stuffer{}); err != nil {
+	rec := obs.NewRecorder(nil, obs.NewJournal(&jbuf))
+	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithObs(rec), cluster.WithEventLog(&ebuf)); err != nil {
 		t.Fatal(err)
 	}
-	snap := cfg.Obs.Snapshot()
+	snap := rec.Snapshot()
+	if snap.Counters["sim.events"] == 0 {
+		t.Fatal("the WithObs recorder saw no engine events")
+	}
 	for _, name := range []string{"cluster.assignments", "cluster.wakeups"} {
 		if n := snap.Counters[name]; n != 0 {
 			t.Errorf("%s = %d after setup-only run, want 0", name, n)
@@ -390,7 +393,7 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *cluster.Result {
+	run := func(opts ...cluster.Option) *cluster.Result {
 		pol, err := ecocloud.New(ecocloud.DefaultConfig(), 11)
 		if err != nil {
 			t.Fatal(err)
@@ -403,7 +406,7 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 			SampleInterval:  30 * time.Minute,
 			PowerModel:      dc.DefaultPowerModel(),
 		}
-		res, err := cluster.Run(cfg, pol)
+		res, err := cluster.Run(cfg, pol, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,6 +418,11 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 		a.TotalHighMigrations != b.TotalHighMigrations ||
 		a.TotalActivations != b.TotalActivations {
 		t.Fatalf("identical runs diverged: %+v vs %+v", a, b)
+	}
+	// A nil recorder and a nil writer attach nothing: the Result equals the
+	// option-free run's in every field.
+	if c := run(cluster.WithObs(nil), cluster.WithEventLog(nil)); !reflect.DeepEqual(a, c) {
+		t.Fatalf("WithObs(nil)/WithEventLog(nil) changed the result: %+v vs %+v", a, c)
 	}
 }
 
@@ -546,9 +554,8 @@ func TestRunEventJournal(t *testing.T) {
 		ControlInterval: 5 * time.Minute,
 		SampleInterval:  30 * time.Minute,
 		PowerModel:      dc.DefaultPowerModel(),
-		EventLog:        &buf,
 	}
-	res, err := cluster.Run(cfg, pol)
+	res, err := cluster.Run(cfg, pol, cluster.WithEventLog(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func Daily(opts DailyOptions) (*DailyResult, error) {
 	}
 	cfg := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
 	cfg.RecordServerUtil = true
-	res, err := cluster.Run(cfg, pol, opts.Cluster...)
+	res, err := cluster.Run(cfg, pol, append([]cluster.Option{cluster.WithObs(opts.Obs)}, opts.Cluster...)...)
 	if err != nil {
 		return nil, err
 	}

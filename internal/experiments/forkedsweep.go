@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strconv"
 	"time"
 
@@ -145,14 +146,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 		return nil, err
 	}
 	specs := dc.StandardFleet(opts.Servers)
-	baseCluster := func(events *bytes.Buffer) cluster.RunConfig {
-		ccfg := opts.ClusterConfig(specs, ws, opts.Control, opts.Sample, opts.Power)
-		ccfg.Obs = nil // cells run concurrently; see ClusterConfig
-		if events != nil {
-			ccfg.EventLog = events
-		}
-		return ccfg
-	}
+	base := opts.ClusterConfig(specs, ws, opts.Control, opts.Sample, opts.Power)
 
 	// Warm prefix: base config to Warmup, checkpoint, stop.
 	var ck *checkpoint.Checkpoint
@@ -161,7 +155,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cluster.Run(baseCluster(&prefixLog), basePol,
+	if _, err := cluster.Run(base, basePol, cluster.WithEventLog(&prefixLog),
 		cluster.WithCheckpointAt(opts.Warmup, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
 		cluster.WithCheckpointStop(),
 	); err != nil {
@@ -174,7 +168,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratchRes, err := cluster.Run(baseCluster(&scratchLog), scratchPol)
+	scratchRes, err := cluster.Run(base, scratchPol, cluster.WithEventLog(&scratchLog))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: forkedsweep scratch run: %v", err)
 	}
@@ -182,7 +176,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 
 	// One branched cell: fork the checkpoint (empty label = identity,
 	// otherwise a deterministic rng re-seed) and resume under cfg.
-	runBranch := func(cfg ecocloud.Config, label string, events *bytes.Buffer) (*cluster.Result, error) {
+	runBranch := func(cfg ecocloud.Config, label string, events io.Writer) (*cluster.Result, error) {
 		branch, err := ck.Fork(label)
 		if err != nil {
 			return nil, err
@@ -191,7 +185,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.Run(baseCluster(events), pol, cluster.WithResume(branch))
+		return cluster.Run(base, pol, cluster.WithEventLog(events), cluster.WithResume(branch))
 	}
 
 	// Proof leg 2: the identity-forked base cell must reproduce leg 1's

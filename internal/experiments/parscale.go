@@ -128,11 +128,11 @@ func ParScaleCell(opts ParScaleOptions, servers, workers int) (cluster.RunConfig
 	return ccfg, pol, nil
 }
 
-// sameResult reports whether two runs of the same cell produced bit-identical
+// SameResult reports whether two runs of the same cell produced bit-identical
 // results, checking the aggregate floats exactly and every sampled series
 // point for point. It is the parity gate between the sequential engine and
-// the pooled one.
-func sameResult(a, b *cluster.Result) error {
+// the pooled one, here and in ecobench's -par-bench.
+func SameResult(a, b *cluster.Result) error {
 	//ecolint:allow float-eq — bit-identity across worker counts is the property under verification; tolerances would mask engine drift
 	floatEq := func(name string, x, y float64) error {
 		if x != y { //ecolint:allow float-eq — see above
@@ -215,7 +215,7 @@ func ParScale(opts ParScaleOptions) ([]ParScalePoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cluster.Run(cfg, pol)
+			res, err := cluster.Run(cfg, pol, cluster.WithObs(opts.Obs))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: parscale %d servers, %d workers: %v", servers, w, err)
 			}
@@ -223,7 +223,7 @@ func ParScale(opts ParScaleOptions) ([]ParScalePoint, error) {
 				// The first configured count anchors parity; the default
 				// sweep puts 0 (the pristine sequential engine) first.
 				baseline = res
-			} else if err := sameResult(baseline, res); err != nil {
+			} else if err := SameResult(baseline, res); err != nil {
 				return nil, fmt.Errorf("experiments: parscale %d servers: Workers=%d diverged from Workers=%d: %v",
 					servers, w, opts.WorkerCounts[0], err)
 			}

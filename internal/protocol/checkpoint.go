@@ -64,9 +64,6 @@ type clusterState struct {
 // MarshalCheckpoint implements checkpoint.Checkpointable. It fails while an
 // invitation round is open (see the limitation note above).
 func (c *Cluster) MarshalCheckpoint() (json.RawMessage, error) {
-	if c.nsim == nil {
-		return nil, fmt.Errorf("protocol: checkpointing requires the netsim fabric; an external transport's in-flight state is not serializable")
-	}
 	if len(c.rounds) > 0 {
 		return nil, fmt.Errorf("protocol: %d invitation rounds open; checkpoint at a quiescent instant", len(c.rounds))
 	}
@@ -108,9 +105,6 @@ func (c *Cluster) UnmarshalCheckpoint(raw json.RawMessage) error {
 		if err := json.Unmarshal(raw, &st); err != nil {
 			return fmt.Errorf("protocol: checkpoint state: %w", err)
 		}
-	}
-	if c.nsim == nil {
-		return fmt.Errorf("protocol: checkpoint restore requires the netsim fabric")
 	}
 	c.nextRound = st.NextRound
 	c.nextGroup = st.NextGroup

@@ -302,10 +302,9 @@ type Cluster struct {
 	band ecocloud.Band
 
 	eng *sim.Engine
-	// net is the message fabric every send goes through. nsim is non-nil
-	// only when the cluster was built over the simulated fabric (New); the
-	// checkpoint layer needs the concrete network for its traffic counters
-	// and jitter stream, neither of which a foreign transport has.
+	// net is the message fabric every send goes through. nsim is the
+	// simulated network under it; the checkpoint layer needs the concrete
+	// network for its traffic counters and jitter stream.
 	net  Transport
 	nsim *netsim.Network
 	dc   *dc.DataCenter
@@ -367,59 +366,21 @@ func New(cfg Config, specs []dc.Spec, seed uint64) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	master := rng.New(seed)
-	eng := sim.New()
-	nsim := netsim.New(eng, cfg.Latency, master.Split("net"))
-	nsim.SetImpairments(cfg.Impairments)
-	c, err := newOn(cfg, specs, master, eng, nsim)
-	if err != nil {
-		return nil, err
-	}
-	c.nsim = nsim
-	return c, nil
-}
-
-// NewOnTransport builds a protocol cluster over an externally owned
-// Transport. The caller keeps responsibility for the transport's lifecycle
-// and for honouring the Transport contract (serial handler invocation);
-// impairments, when wanted, are the transport's own business, so
-// cfg.Impairments must be zero. Checkpointing is only supported on the
-// netsim fabric (New): a foreign transport's in-flight state is not
-// serializable.
-func NewOnTransport(cfg Config, specs []dc.Spec, seed uint64, tr Transport) (*Cluster, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("protocol: nil transport")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Impairments.Enabled() {
-		return nil, fmt.Errorf("protocol: impairments on an external transport belong to the transport")
-	}
-	if n, ok := tr.(*netsim.Network); ok {
-		c, err := newOn(cfg, specs, rng.New(seed), sim.New(), tr)
-		if err != nil {
-			return nil, err
-		}
-		c.nsim = n
-		return c, nil
-	}
-	return newOn(cfg, specs, rng.New(seed), sim.New(), tr)
-}
-
-// newOn is the shared constructor body: wire the manager, the servers, the
-// fabric and the data center together.
-func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr Transport) (*Cluster, error) {
 	fa, err := ecocloud.NewAssignProb(cfg.Ta, cfg.P)
 	if err != nil {
 		return nil, err
 	}
+	master := rng.New(seed)
+	eng := sim.New()
+	nsim := netsim.New(eng, cfg.Latency, master.Split("net"))
+	nsim.SetImpairments(cfg.Impairments)
 	c := &Cluster{
 		cfg:          cfg,
 		fa:           fa,
 		band:         ecocloud.Band{Tl: cfg.Tl, Th: cfg.Th, Alpha: cfg.Alpha, Beta: cfg.Beta},
 		eng:          eng,
-		net:          tr,
+		net:          nsim,
+		nsim:         nsim,
 		dc:           dc.New(specs),
 		mgr:          master.Split("manager"),
 		master:       master,
