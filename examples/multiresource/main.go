@@ -1,6 +1,6 @@
 // Multiresource: the paper's §V extension in action. Servers track both CPU
-// and RAM; availability for a new VM is decided by multi-resource Bernoulli
-// trials, under both proposed strategies:
+// and RAM; availability for a new VM is decided by the decision kernel's
+// two-resource trial (ecocloud.MultiTrial), under both proposed strategies:
 //
 //   - all-trials: one trial per resource, accept only if every trial succeeds;
 //   - critical+constraints: one trial on the most critical resource, the
@@ -27,11 +27,8 @@ type server struct {
 	vms              int
 }
 
-func (s *server) utils() map[string]float64 {
-	return map[string]float64{
-		"cpu": s.usedCPU / s.cpuMHz,
-		"ram": s.usedRAM / s.ramMB,
-	}
+func (s *server) utils() (cpu, ram float64) {
+	return s.usedCPU / s.cpuMHz, s.usedRAM / s.ramMB
 }
 
 // vm is a two-resource demand. CPU-bound VMs want lots of CPU and little
@@ -53,11 +50,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	multi, err := ecocloud.NewMultiResource(map[string]ecocloud.AssignProbFunc{
-		"cpu": cpuFn, "ram": ramFn,
-	})
-	if err != nil {
-		log.Fatal(err)
+	multi := ecocloud.MultiTrial{CPU: cpuFn, RAM: ramFn}
+	switch *strategy {
+	case "all":
+		multi.Strategy = ecocloud.AllTrials
+	case "critical":
+		multi.Strategy = ecocloud.CriticalPlusConstraints
+	default:
+		log.Fatalf("unknown strategy %q", *strategy)
 	}
 
 	master := rng.New(*seed)
@@ -80,28 +80,14 @@ func main() {
 		}
 
 		// Invitation round: every server runs its multi-resource trial,
-		// including the feasibility of this particular VM.
+		// which first checks that this particular VM fits on both resources.
 		var acceptors []int
 		for si, s := range fleet {
-			utils := s.utils()
-			if utils["cpu"]+v.cpuMHz/s.cpuMHz > cpuFn.Ta || utils["ram"]+v.ramMB/s.ramMB > ramFn.Ta {
-				continue
-			}
-			var ok bool
-			var err error
-			switch *strategy {
-			case "all":
-				ok, err = multi.TrialAll(utils, srcs[si])
-			case "critical":
-				ok, err = multi.TrialCritical(utils, srcs[si])
-			default:
-				log.Fatalf("unknown strategy %q", *strategy)
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
+			cpuU, ramU := s.utils()
+			ok := multi.Accept(srcs[si], cpuFn.Ta, cpuU, v.cpuMHz/s.cpuMHz, ramU, v.ramMB/s.ramMB, false)
 			// A server with zero load never accepts (fa(0)=0); seed the
-			// first VMs onto empty servers like the manager's wake-up does.
+			// first VMs onto empty servers like the manager's wake-up does
+			// (every VM fits an empty server).
 			if ok || (s.vms == 0 && placed < *servers/4) {
 				acceptors = append(acceptors, si)
 			}
@@ -125,11 +111,11 @@ func main() {
 			continue
 		}
 		usedServers++
-		u := s.utils()
-		if u["cpu"] > cpuFn.Ta+1e-9 || u["ram"] > ramFn.Ta+1e-9 {
-			log.Fatalf("server %d breached a threshold: cpu=%.3f ram=%.3f", i, u["cpu"], u["ram"])
+		cpuU, ramU := s.utils()
+		if cpuU > cpuFn.Ta+1e-9 || ramU > ramFn.Ta+1e-9 {
+			log.Fatalf("server %d breached a threshold: cpu=%.3f ram=%.3f", i, cpuU, ramU)
 		}
-		fmt.Printf("s%-7d %6d %10.3f %10.3f\n", i, s.vms, u["cpu"], u["ram"])
+		fmt.Printf("s%-7d %6d %10.3f %10.3f\n", i, s.vms, cpuU, ramU)
 	}
 	fmt.Printf("\n%d of %d servers used; no threshold breached on either resource\n", usedServers, *servers)
 }

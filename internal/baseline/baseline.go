@@ -162,7 +162,7 @@ func (c *Centralized) OnArrival(env cluster.Env, vm *trace.VM) {
 	}
 	if dest == nil {
 		env.Rec.Saturations++
-		dest = leastUtilized(env, nil)
+		dest, _ = env.DC.LeastUtilizedAt(env.Now)
 		if dest == nil {
 			panic(fmt.Sprintf("baseline: no server for VM %d in an empty fleet", vm.ID))
 		}
@@ -341,7 +341,7 @@ func (*AllOn) OnArrival(env cluster.Env, vm *trace.VM) {
 			}
 		}
 	}
-	dest := leastUtilized(env, nil)
+	dest, _ := env.DC.LeastUtilizedAt(env.Now)
 	if dest == nil {
 		panic("baseline: empty fleet")
 	}
@@ -352,20 +352,3 @@ func (*AllOn) OnArrival(env cluster.Env, vm *trace.VM) {
 
 // OnControl does nothing: AllOn never consolidates or hibernates.
 func (*AllOn) OnControl(cluster.Env) {}
-
-// leastUtilized returns the active server with the lowest utilization,
-// skipping excluded IDs.
-func leastUtilized(env cluster.Env, exclude map[int]bool) *dc.Server {
-	var best *dc.Server
-	bestU := 0.0
-	for _, s := range env.DC.Servers {
-		if s.State() != dc.Active || exclude[s.ID] {
-			continue
-		}
-		u := s.UtilizationAt(env.Now)
-		if best == nil || u < bestU {
-			best, bestU = s, u
-		}
-	}
-	return best
-}

@@ -76,8 +76,9 @@ type RunConfig struct {
 	// DisableDemandCache turns off the incremental demand kernel, forcing
 	// every Server.DemandAt back to the naive per-VM recomputation. Results
 	// are bit-identical either way (that is the kernel's contract); the
-	// switch exists for the differential tests and the naive-vs-cached
-	// scalability benchmarks.
+	// switch exists for TestRunDemandCacheDifferential, which checks that
+	// contract, and BenchmarkDemandKernel, which times the naive path
+	// against the cached one.
 	DisableDemandCache bool
 
 	// Run attachments, set only through the With* options (see Option).

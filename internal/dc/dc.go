@@ -327,6 +327,23 @@ func (d *DataCenter) ActiveCount() int {
 	return n
 }
 
+// LeastUtilizedAt returns the active server with the lowest utilization at
+// time t, and that utilization; ties keep the lowest ID. It returns nil when
+// no server is active. Every engine's saturation fallback is this scan.
+func (d *DataCenter) LeastUtilizedAt(t time.Duration) (*Server, float64) {
+	var best *Server
+	bestU := 0.0
+	for i, st := range d.hot.state {
+		if st != Active {
+			continue
+		}
+		if u := d.Servers[i].UtilizationAt(t); best == nil || u < bestU {
+			best, bestU = d.Servers[i], u
+		}
+	}
+	return best, bestU
+}
+
 // HostOf returns the server hosting vmID, if any.
 func (d *DataCenter) HostOf(vmID int) (*Server, bool) {
 	s, ok := d.byVM[vmID]

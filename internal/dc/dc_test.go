@@ -277,6 +277,38 @@ func TestActiveCountAndPlacedDemand(t *testing.T) {
 	}
 }
 
+func TestLeastUtilizedAt(t *testing.T) {
+	d := New(UniformFleet(5, 4, 2000))
+	if s, _ := d.LeastUtilizedAt(0); s != nil {
+		t.Fatalf("all hibernated: got server %d, want nil", s.ID)
+	}
+	for _, s := range d.Servers {
+		if err := d.Activate(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Server 0 at 0.25; servers 3 and 4 tie at 0.125. Servers 1 and 2 would
+	// win at 0 were they not failed and hibernated.
+	for _, p := range []struct {
+		server int
+		mhz    float64
+	}{{0, 2000}, {3, 1000}, {4, 1000}} {
+		if err := d.Place(constVM(p.server, p.mhz), d.Servers[p.server]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Fail(d.Servers[1], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Hibernate(d.Servers[2]); err != nil {
+		t.Fatal(err)
+	}
+	s, u := d.LeastUtilizedAt(0)
+	if s != d.Servers[3] || u != 0.125 {
+		t.Fatalf("got %+v at %v, want server 3 at 0.125", s, u)
+	}
+}
+
 func TestNewPanicsOnBadSpec(t *testing.T) {
 	defer func() {
 		if recover() == nil {

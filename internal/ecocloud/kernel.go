@@ -4,15 +4,17 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dc"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
-// This file is the decision kernel: the server-local trials of §II that
-// every engine runs — the cluster-driver Policy, the netsim protocol and the
-// ecod agents. Each function sees one server's local view, that server's
-// private rng stream and the thresholds, and nothing else, so a decision
-// never depends on another server or on the order servers are visited in.
+// This file is the decision kernel: the trials of §II and §V that every
+// engine runs — the cluster-driver Policy, the netsim protocol and the ecod
+// agents. A server-side function sees one server's local view, that
+// server's private rng stream and the thresholds, and nothing else, so a
+// decision never depends on another server or on the order servers are
+// visited in. Invitees is the one manager-side decision: who is invited.
 
 // Accept is an invited server's answer to one invitation round (§II). ta is
 // the round's threshold: f.Ta for an arrival or a low migration, Ta' for a
@@ -33,6 +35,41 @@ func (f AssignProbFunc) Accept(src *rng.Source, ta, u, load float64, grace bool)
 		return false
 	}
 	return src.Bernoulli(fa.Eval(u))
+}
+
+// MultiTrial is the §V extension of Accept to memory: fa on CPU and on RAM,
+// combined by Strategy.
+type MultiTrial struct {
+	CPU, RAM AssignProbFunc
+	Strategy MultiStrategy
+}
+
+// Accept is a server's answer to one invitation round when it models
+// memory. ta, u, load and grace mean what they mean to AssignProbFunc.Accept;
+// ramU is the server's memory utilization and ramLoad the VM's footprint
+// over the server's memory. The VM must fit under both thresholds; a server
+// in grace then accepts without a draw. Otherwise AllTrials draws on CPU and,
+// only if that succeeds, on RAM; CriticalPlusConstraints draws once, on the
+// resource with the higher utilization relative to its threshold (ties go
+// to CPU).
+func (m MultiTrial) Accept(src *rng.Source, ta, u, load, ramU, ramLoad float64, grace bool) bool {
+	if !(ta > 0 && ta <= 1) || u+load > ta || ramU+ramLoad > m.RAM.Ta {
+		return false
+	}
+	if grace {
+		return true
+	}
+	fa, err := m.CPU.at(ta)
+	if err != nil {
+		return false
+	}
+	if m.Strategy == CriticalPlusConstraints {
+		if ramU/m.RAM.Ta > u/ta {
+			return src.Bernoulli(m.RAM.Eval(ramU))
+		}
+		return src.Bernoulli(fa.Eval(u))
+	}
+	return src.Bernoulli(fa.Eval(u)) && src.Bernoulli(m.RAM.Eval(ramU))
 }
 
 // at returns f under the round threshold ta. An ordinary round reuses f
@@ -105,4 +142,35 @@ func (b Band) Pick(src *rng.Source, kind string, vms []*trace.VM, now time.Durat
 		}
 	}
 	return largest
+}
+
+// Invitees returns the servers one invitation round reaches (§II): the
+// active servers other than exclude (-1 for none). With groups above 1 it
+// keeps only the static group ID mod groups == *next mod groups and advances
+// *next, so successive rounds rotate through the groups (footnote 1). With
+// subset positive and more candidates than that, it samples subset of them
+// uniformly with one mgr.Perm and returns them in Perm order. The result
+// never aliases servers.
+func Invitees(servers []*dc.Server, exclude, groups, subset int, next *int, mgr *rng.Source) []*dc.Server {
+	group := -1
+	if groups > 1 {
+		group = *next % groups
+		*next++
+	}
+	out := make([]*dc.Server, 0, len(servers))
+	for _, s := range servers {
+		if s.State() != dc.Active || s.ID == exclude || (group >= 0 && s.ID%groups != group) {
+			continue
+		}
+		out = append(out, s)
+	}
+	if subset <= 0 || len(out) <= subset {
+		return out
+	}
+	perm := mgr.Perm(len(out))
+	sample := make([]*dc.Server, subset)
+	for i := range sample {
+		sample[i] = out[perm[i]]
+	}
+	return sample
 }

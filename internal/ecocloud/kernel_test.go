@@ -2,10 +2,12 @@ package ecocloud
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dc"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -257,5 +259,249 @@ func TestNonFiniteThresholdsRejected(t *testing.T) {
 		if _, err := f.WithThreshold(x); err == nil {
 			t.Errorf("WithThreshold(%v) accepted", x)
 		}
+	}
+}
+
+// activeFleet returns n servers, all active except those listed in asleep.
+func activeFleet(t *testing.T, n int, asleep ...int) *dc.DataCenter {
+	t.Helper()
+	d := dc.New(dc.UniformFleet(n, 6, 2000))
+	for _, s := range d.Servers {
+		if !slices.Contains(asleep, s.ID) {
+			if err := d.Activate(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return d
+}
+
+func ids(servers []*dc.Server) []int {
+	out := make([]int, len(servers))
+	for i, s := range servers {
+		out[i] = s.ID
+	}
+	return out
+}
+
+func TestInviteesGroupsRotate(t *testing.T) {
+	d := activeFleet(t, 8, 6)
+	src := rng.New(kernelSeed)
+	next := 0
+	want := [][]int{{0, 4}, {1, 5}, {2}, {3, 7}, {0, 4}}
+	for round, w := range want {
+		if got := ids(Invitees(d.Servers, -1, 4, 0, &next, src)); !slices.Equal(got, w) {
+			t.Fatalf("round %d invited %v, want %v", round, got, w)
+		}
+		if next != round+1 {
+			t.Fatalf("round %d left the group counter at %d", round, next)
+		}
+	}
+	if n := draws(t, src); n != 0 {
+		t.Fatalf("group rounds consumed %d manager draws", n)
+	}
+	// One group is no grouping: every active server, counter untouched.
+	next = 0
+	if got := Invitees(d.Servers, -1, 1, 0, &next, src); len(got) != 7 || next != 0 {
+		t.Fatalf("groups=1 invited %v and moved the counter to %d", ids(got), next)
+	}
+}
+
+func TestInviteesSubsetCostsOnePerm(t *testing.T) {
+	d := activeFleet(t, 12, 2, 9)
+	mgr, ref := rng.New(kernelSeed), rng.New(kernelSeed)
+	next := 0
+	got := Invitees(d.Servers, -1, 0, 3, &next, mgr)
+
+	candidates := []int{0, 1, 3, 4, 5, 6, 7, 8, 10, 11}
+	perm := ref.Perm(len(candidates))
+	want := []int{candidates[perm[0]], candidates[perm[1]], candidates[perm[2]]}
+	if !slices.Equal(ids(got), want) {
+		t.Fatalf("subset = %v, want %v in Perm order", ids(got), want)
+	}
+	if mgr.State() != ref.State() {
+		t.Fatal("subset sampling consumed other than exactly one Perm")
+	}
+	// No more candidates than the subset size: all of them, no draw.
+	src := rng.New(kernelSeed)
+	if got := Invitees(d.Servers, -1, 0, 10, &next, src); len(got) != 10 {
+		t.Fatalf("subset of 10 over 10 candidates invited %d", len(got))
+	}
+	if n := draws(t, src); n != 0 {
+		t.Fatalf("unsampled subset consumed %d draws", n)
+	}
+}
+
+func TestInviteesExcludeBeforeGroupsAndSubset(t *testing.T) {
+	d := activeFleet(t, 8)
+	next := 0
+	// Excluded first, then grouped: the group loses only the excluded server.
+	if got := ids(Invitees(d.Servers, 4, 4, 0, &next, rng.New(kernelSeed))); !slices.Equal(got, []int{0}) {
+		t.Fatalf("group 0 minus server 4 = %v, want [0]", got)
+	}
+	// Excluded first, then sampled: four candidates minus the excluded one
+	// fit a subset of three, so nothing is drawn.
+	d = activeFleet(t, 4)
+	src := rng.New(kernelSeed)
+	if got := ids(Invitees(d.Servers, 2, 0, 3, &next, src)); !slices.Equal(got, []int{0, 1, 3}) {
+		t.Fatalf("subset after excluding server 2 = %v, want [0 1 3]", got)
+	}
+	if n := draws(t, src); n != 0 {
+		t.Fatalf("subset after exclusion consumed %d draws; exclusion must come first", n)
+	}
+}
+
+func TestInviteesNoCandidates(t *testing.T) {
+	next := 0
+	src := rng.New(kernelSeed)
+	asleep := activeFleet(t, 3, 0, 1, 2)
+	if got := Invitees(asleep.Servers, -1, 0, 2, &next, src); len(got) != 0 {
+		t.Fatalf("hibernated fleet invited %v", ids(got))
+	}
+	alone := activeFleet(t, 3, 1, 2)
+	if got := Invitees(alone.Servers, 0, 2, 1, &next, src); len(got) != 0 {
+		t.Fatalf("fleet whose only active server is excluded invited %v", ids(got))
+	}
+	if got := Invitees(nil, -1, 0, 0, &next, src); len(got) != 0 {
+		t.Fatalf("empty fleet invited %v", ids(got))
+	}
+	if n := draws(t, src); n != 0 {
+		t.Fatalf("empty rounds consumed %d draws", n)
+	}
+}
+
+// mustMulti is the §V trial the tests below share: CPU under Ta = 0.9 and
+// RAM under Ta = 0.8.
+func mustMulti(t *testing.T, s MultiStrategy) MultiTrial {
+	t.Helper()
+	return MultiTrial{CPU: mustAssign(t, 0.9, 3), RAM: mustAssign(t, 0.8, 2), Strategy: s}
+}
+
+// The §V configuration is validated when the policy is built.
+func TestNewMultiResourceValidation(t *testing.T) {
+	bad := []RAMConfig{
+		{Ta: 0, P: 3},
+		{Ta: 0.9, P: 0},
+		{Ta: 0.9, P: 3, Strategy: MultiStrategy(7)},
+	}
+	for _, ram := range bad {
+		cfg := DefaultConfig()
+		cfg.RAM = &ram
+		if _, err := New(cfg, 1); err == nil {
+			t.Errorf("RAM config %+v accepted", ram)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.RAM = DefaultRAMConfig()
+	if _, err := New(cfg, 1); err != nil {
+		t.Fatalf("default RAM config rejected: %v", err)
+	}
+}
+
+func TestTrialAllRejectsWhenAnyResourceFull(t *testing.T) {
+	for _, s := range []MultiStrategy{AllTrials, CriticalPlusConstraints} {
+		m := mustMulti(t, s)
+		src := rng.New(kernelSeed)
+		// RAM would end above its threshold, then CPU would: rejected
+		// before any draw, grace or not.
+		if m.Accept(src, 0.9, 0.5, 0.1, 0.75, 0.1, true) || m.Accept(src, 0.9, 0.85, 0.1, 0.2, 0.1, false) {
+			t.Fatalf("strategy %d accepted a VM that does not fit", s)
+		}
+		if n := draws(t, src); n != 0 {
+			t.Fatalf("strategy %d: infeasible rounds consumed %d draws", s, n)
+		}
+		// A feasible VM in grace is accepted without a draw.
+		if !m.Accept(src, 0.9, 0, 0.1, 0, 0.1, true) {
+			t.Fatalf("strategy %d: in-grace server rejected a feasible VM", s)
+		}
+		if n := draws(t, src); n != 0 {
+			t.Fatalf("strategy %d: grace acceptance consumed %d draws", s, n)
+		}
+	}
+}
+
+func TestTrialAllEmpiricalRateMatchesProduct(t *testing.T) {
+	m := mustMulti(t, AllTrials)
+	src := rng.New(3)
+	const u, ramU = 0.6, 0.5
+	want := m.CPU.Eval(u) * m.RAM.Eval(ramU)
+	const n = 200000
+	hits := 0
+	for i := 0; i < n; i++ {
+		if m.Accept(src, m.CPU.Ta, u, 0.01, ramU, 0.01, false) {
+			hits++
+		}
+	}
+	if got := float64(hits) / n; math.Abs(got-want) > 0.01 {
+		t.Fatalf("empirical rate %v, closed form %v", got, want)
+	}
+}
+
+// Critical draws on the resource with the higher utilization relative to
+// its threshold, and on CPU when the two tie.
+func TestCriticalPicksHighestRelativeUtilization(t *testing.T) {
+	m := MultiTrial{CPU: mustAssign(t, 0.75, 3), RAM: mustAssign(t, 0.5, 2), Strategy: CriticalPlusConstraints}
+	cases := []struct {
+		name    string
+		u, ramU float64
+		ram     bool // the trial runs on RAM
+	}{
+		{"ram critical", 0.3, 0.3, true}, // 0.4 vs 0.6
+		{"cpu critical", 0.6, 0.2, false},
+		{"tie", 0.375, 0.25, false}, // both exactly 0.5 in binary
+	}
+	for _, c := range cases {
+		p := m.CPU.Eval(c.u)
+		if c.ram {
+			p = m.RAM.Eval(c.ramU)
+		}
+		src, ref := rng.New(kernelSeed), rng.New(kernelSeed)
+		for i := 0; i < 64; i++ {
+			if got, want := m.Accept(src, m.CPU.Ta, c.u, 0.01, c.ramU, 0.01, false), ref.Bernoulli(p); got != want {
+				t.Fatalf("%s: trial %d = %v, reference stream on the critical resource says %v", c.name, i, got, want)
+			}
+		}
+	}
+	if m.CPU.Eval(0.375) == m.RAM.Eval(0.25) {
+		t.Fatal("tie case cannot tell the resources apart")
+	}
+}
+
+func TestTrialCriticalConstraints(t *testing.T) {
+	m := mustMulti(t, CriticalPlusConstraints)
+	src := rng.New(5)
+	// CPU is critical (0.8/0.9); RAM would end above its threshold: the
+	// non-critical resource is still a hard constraint.
+	for i := 0; i < 200; i++ {
+		if m.Accept(src, 0.9, 0.8, 0.05, 0.7, 0.11, false) {
+			t.Fatal("accepted despite a violated constraint")
+		}
+	}
+}
+
+func TestTrialCriticalUsesSingleTrial(t *testing.T) {
+	m := mustMulti(t, CriticalPlusConstraints)
+	// RAM critical at 0.6/0.8; CPU low (0.2) would often fail its own trial
+	// under AllTrials, but strategy 2 ignores CPU's probability entirely.
+	const u, ramU = 0.2, 0.6
+	want := m.RAM.Eval(ramU)
+	src := rng.New(kernelSeed)
+	m.Accept(src, m.CPU.Ta, u, 0.01, ramU, 0.01, false)
+	if n := draws(t, src); n != 1 {
+		t.Fatalf("critical trial consumed %d draws, want 1", n)
+	}
+	const n = 200000
+	hits := 0
+	src = rng.New(7)
+	for i := 0; i < n; i++ {
+		if m.Accept(src, m.CPU.Ta, u, 0.01, ramU, 0.01, false) {
+			hits++
+		}
+	}
+	if got := float64(hits) / n; math.Abs(got-want) > 0.01 {
+		t.Fatalf("empirical rate %v, want fa_ram(0.6) = %v", got, want)
+	}
+	if all := m.CPU.Eval(u) * m.RAM.Eval(ramU); all >= want {
+		t.Fatalf("AllTrials prob %v not below critical-only %v", all, want)
 	}
 }

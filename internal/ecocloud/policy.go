@@ -2,7 +2,7 @@ package ecocloud
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -19,9 +19,8 @@ type Policy struct {
 	cfg  Config
 	fa   AssignProbFunc
 	band Band
-	// faRAM is the memory assignment function of the §V extension (zero
-	// value when cfg.RAM is nil).
-	faRAM AssignProbFunc
+	// multi is the §V two-resource trial (zero value when cfg.RAM is nil).
+	multi MultiTrial
 
 	// mgr is the data-center manager's stream: choosing among available
 	// servers, picking which hibernated server to wake, sampling invitation
@@ -52,19 +51,20 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	var faRAM AssignProbFunc
+	var multi MultiTrial
 	if cfg.RAM != nil {
-		faRAM, err = NewAssignProb(cfg.RAM.Ta, cfg.RAM.P)
+		faRAM, err := NewAssignProb(cfg.RAM.Ta, cfg.RAM.P)
 		if err != nil {
 			return nil, err
 		}
+		multi = MultiTrial{CPU: fa, RAM: faRAM, Strategy: cfg.RAM.Strategy}
 	}
 	master := rng.New(seed)
 	return &Policy{
 		cfg:     cfg,
 		fa:      fa,
 		band:    Band{Tl: cfg.Tl, Th: cfg.Th, Alpha: cfg.Alpha, Beta: cfg.Beta},
-		faRAM:   faRAM,
+		multi:   multi,
 		mgr:     master.Split("manager"),
 		servers: make(map[int]*rng.Source),
 		master:  master,
@@ -113,7 +113,7 @@ func (p *Policy) OnArrival(env cluster.Env, vm *trace.VM) {
 		// utilized active server and record the event (the paper: frequent
 		// occurrences mean the company should buy servers).
 		env.Rec.Saturations++
-		dest = leastUtilized(env.DC.Servers, env.Now)
+		dest, _ = env.DC.LeastUtilizedAt(env.Now)
 		if dest == nil {
 			// No active server at all and nothing to wake: the fleet is
 			// empty, which indicates a mis-sized experiment.
@@ -205,9 +205,9 @@ func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
 	env.Rec.Migration(env.Now, cluster.MigrationHigh)
 }
 
-// selectDestination runs one invitation round: collect the active servers
-// (minus exclude), possibly sample an invitation subset, let each answer
-// under the round threshold ta, and pick uniformly among the accepting ones.
+// selectDestination runs one invitation round: invite the kernel's
+// Invitees (a sampled subset back in ID order), let each answer under the
+// round threshold ta, and pick uniformly among the accepting ones.
 // With no acceptor and allowWake set, a hibernated server is woken and
 // returned (its grace period starts now). Returns nil when no destination
 // exists.
@@ -218,30 +218,9 @@ func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
 // a VM that would push it past the threshold, which matters for the heavy
 // tail of CPU-hungry VMs.
 func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, allowWake bool, demandMHz, ramMB float64) *dc.Server {
-	group := -1
-	if g := p.cfg.InviteGroups; g > 1 {
-		group = p.nextGroup % g
-		p.nextGroup++
-	}
-	invited := make([]*dc.Server, 0, len(env.DC.Servers))
-	for _, s := range env.DC.Servers {
-		if s.State() != dc.Active || s.ID == exclude {
-			continue
-		}
-		if group >= 0 && s.ID%p.cfg.InviteGroups != group {
-			continue
-		}
-		invited = append(invited, s)
-	}
-	if k := p.cfg.InviteSubset; k > 0 && len(invited) > k {
-		perm := p.mgr.Perm(len(invited))
-		subset := make([]*dc.Server, k)
-		for i := 0; i < k; i++ {
-			subset[i] = invited[perm[i]]
-		}
-		// Keep ID order so per-server trial draws stay schedule-independent.
-		sort.Slice(subset, func(i, j int) bool { return subset[i].ID < subset[j].ID })
-		invited = subset
+	invited := Invitees(env.DC.Servers, exclude, p.cfg.InviteGroups, p.cfg.InviteSubset, &p.nextGroup, p.mgr)
+	if p.cfg.InviteSubset > 0 {
+		slices.SortFunc(invited, func(a, b *dc.Server) int { return a.ID - b.ID })
 	}
 
 	utils := utilizations(env.Pool, invited, env.Now)
@@ -253,7 +232,7 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 		if p.cfg.RAM == nil || s.Spec.RAMMB <= 0 {
 			ok = p.fa.Accept(p.serverSrc(s.ID), ta, utils[i], load, grace)
 		} else {
-			ok = p.multiAccept(s, ta, utils[i], load, ramMB, grace)
+			ok = p.multi.Accept(p.serverSrc(s.ID), ta, utils[i], load, s.RAMUtilization(), ramMB/s.Spec.RAMMB, grace)
 		}
 		if ok {
 			accepted = append(accepted, s)
@@ -308,35 +287,6 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 	return wake
 }
 
-// multiAccept is Accept extended to memory for a server that models it
-// (§V): the VM must fit under both thresholds, a server in grace then
-// accepts outright, and otherwise the configured strategy runs its trials.
-func (p *Policy) multiAccept(s *dc.Server, ta, u, load, ramMB float64, grace bool) bool {
-	ramU := s.RAMUtilization()
-	if u+load > ta || ramU+ramMB/s.Spec.RAMMB > p.cfg.RAM.Ta {
-		return false
-	}
-	if grace {
-		return true
-	}
-	fa, err := p.fa.at(ta)
-	if err != nil {
-		return false
-	}
-	src := p.serverSrc(s.ID)
-	switch p.cfg.RAM.Strategy {
-	case CriticalPlusConstraints:
-		// Single trial on the most critical resource; the other resource's
-		// threshold was already enforced as a feasibility constraint.
-		if ramU/p.faRAM.Ta > u/ta {
-			return src.Bernoulli(p.faRAM.Eval(ramU))
-		}
-		return src.Bernoulli(fa.Eval(u))
-	default: // AllTrials
-		return src.Bernoulli(fa.Eval(u)) && src.Bernoulli(p.faRAM.Eval(ramU))
-	}
-}
-
 // utilizations evaluates UtilizationAt for every server, sharding across
 // the run's fork-join pool when one is attached and the fleet is large. The
 // result is identical to the sequential path: a utilization read returns the
@@ -354,21 +304,4 @@ func utilizations(pool *par.Pool, servers []*dc.Server, now time.Duration) []flo
 	}
 	par.For(pool, len(servers), func(i int) { out[i] = servers[i].UtilizationAt(now) })
 	return out
-}
-
-// leastUtilized returns the active server with the lowest utilization, or
-// nil if none is active.
-func leastUtilized(servers []*dc.Server, now time.Duration) *dc.Server {
-	var best *dc.Server
-	bestU := 0.0
-	for _, s := range servers {
-		if s.State() != dc.Active {
-			continue
-		}
-		u := s.UtilizationAt(now)
-		if best == nil || u < bestU {
-			best, bestU = s, u
-		}
-	}
-	return best
 }

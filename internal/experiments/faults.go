@@ -38,7 +38,6 @@ func DefaultFaultsOptions() FaultsOptions {
 	churn := trace.DefaultChurnConfig()
 	churn.Horizon = 12 * time.Hour
 	proto := protocol.DefaultConfig()
-	proto.EnableMigration = true
 	proto.Impairments = netsim.Impairments{DropProb: 0.01, DupProb: 0.005}
 	proto.RoundTimeout = 10 * time.Millisecond
 	proto.AssignRetry = 30 * time.Second

@@ -31,12 +31,10 @@ type ProtocolDayOptions struct {
 func DefaultProtocolDayOptions() ProtocolDayOptions {
 	churn := trace.DefaultChurnConfig()
 	churn.Horizon = 24 * time.Hour
-	cfg := protocol.DefaultConfig()
-	cfg.EnableMigration = true
 	return ProtocolDayOptions{
 		RunConfig: RunConfig{Servers: 100, NumVMs: churn.InitialVMs, Horizon: churn.Horizon, Seed: 1},
 		Churn:     churn,
-		Proto:     cfg,
+		Proto:     protocol.DefaultConfig(),
 	}
 }
 

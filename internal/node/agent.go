@@ -406,13 +406,8 @@ func (a *agent) onUtilQuery(m utilQueryMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
 	out := utilBestMsg{Node: a.node}
-	for i, s := range a.dcen.Servers {
-		if s.State() != dc.Active {
-			continue
-		}
-		if u := s.UtilizationAt(now); !out.Has || u < out.U {
-			out = utilBestMsg{Node: a.node, Has: true, Server: a.span.Lo + i, U: u}
-		}
+	if s, u := a.dcen.LeastUtilizedAt(now); s != nil {
+		out = utilBestMsg{Node: a.node, Has: true, Server: a.span.Lo + s.ID, U: u}
 	}
 	a.send(driverNode, kindUtilBest, out, a.pcfg.ReplySize)
 }

@@ -170,10 +170,9 @@ func (c *ClusterConfig) Churn() trace.ChurnConfig {
 }
 
 // Proto returns the protocol parameters the run uses: the paper defaults
-// with migration enabled and this cluster's scan cadence.
+// with this cluster's scan cadence.
 func (c *ClusterConfig) Proto() protocol.Config {
 	p := protocol.DefaultConfig()
-	p.EnableMigration = true
 	p.ScanInterval = c.ScanInterval
 	return p
 }

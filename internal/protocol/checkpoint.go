@@ -71,8 +71,8 @@ func (c *Cluster) MarshalCheckpoint() (json.RawMessage, error) {
 		NextRound: c.nextRound,
 		NextGroup: c.nextGroup,
 		Stats:     c.Stats,
-		NetSent:   c.nsim.Sent,
-		NetBytes:  c.nsim.Bytes,
+		NetSent:   c.net.Sent,
+		NetBytes:  c.net.Bytes,
 	}
 	for vm := range c.inflight {
 		st.Inflight = append(st.Inflight, vm)
@@ -109,8 +109,8 @@ func (c *Cluster) UnmarshalCheckpoint(raw json.RawMessage) error {
 	c.nextRound = st.NextRound
 	c.nextGroup = st.NextGroup
 	c.Stats = st.Stats
-	c.nsim.Sent = st.NetSent
-	c.nsim.Bytes = st.NetBytes
+	c.net.Sent = st.NetSent
+	c.net.Bytes = st.NetBytes
 	c.inflight = make(map[int]bool, len(st.Inflight))
 	for _, vm := range st.Inflight {
 		c.inflight[vm] = true
@@ -130,7 +130,7 @@ func (c *Cluster) UnmarshalCheckpoint(raw json.RawMessage) error {
 func (c *Cluster) RegisterStreams(reg *rng.Registry) {
 	reg.Add(masterStream, c.master)
 	reg.Add(managerStream, c.mgr)
-	reg.Add(netStream, c.nsim.RNG())
+	reg.Add(netStream, c.net.RNG())
 	ids := make([]int, 0, len(c.servers))
 	for id := range c.servers {
 		ids = append(ids, id)
@@ -147,7 +147,7 @@ func (c *Cluster) AdoptStreams(states map[string]rng.State) error {
 	reg := rng.NewRegistry()
 	reg.Add(masterStream, c.master)
 	reg.Add(managerStream, c.mgr)
-	reg.Add(netStream, c.nsim.RNG())
+	reg.Add(netStream, c.net.RNG())
 	for label := range states {
 		if !strings.HasPrefix(label, serverStreamPrefix) {
 			if label == masterStream || label == managerStream || label == netStream {

@@ -60,7 +60,7 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 	if q.Stats != c.Stats {
 		t.Fatalf("stats %+v want %+v", q.Stats, c.Stats)
 	}
-	if q.nsim.Sent != c.nsim.Sent || q.nsim.Bytes != c.nsim.Bytes {
+	if q.net.Sent != c.net.Sent || q.net.Bytes != c.net.Bytes {
 		t.Fatal("network counters did not round-trip")
 	}
 	for _, id := range []int{0, 3, 5} {
@@ -71,7 +71,7 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 	if a, b := c.mgr.Float64(), q.mgr.Float64(); a != b {
 		t.Fatal("manager stream diverged")
 	}
-	if a, b := c.nsim.RNG().Float64(), q.nsim.RNG().Float64(); a != b {
+	if a, b := c.net.RNG().Float64(), q.net.RNG().Float64(); a != b {
 		t.Fatal("net stream diverged")
 	}
 }

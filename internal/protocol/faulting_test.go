@@ -246,7 +246,7 @@ func TestLossyFabricPlacesEveryVM(t *testing.T) {
 	// Duplicated assigns must not double-place: every VM hosted exactly once
 	// is already asserted by CheckInvariants' index audit; the drop counter
 	// proves the fabric actually was hostile.
-	if c.nsim.Dropped == 0 {
+	if c.net.Dropped == 0 {
 		t.Fatal("fabric dropped nothing; the test proved nothing")
 	}
 }
@@ -277,7 +277,6 @@ func TestMeanMigrationLatencyZeroGuard(t *testing.T) {
 // aborts without polluting the latency books or leaking manager state.
 func TestAbortedMigrationDropsPendingStart(t *testing.T) {
 	cfg := fixedConfig()
-	cfg.EnableMigration = true
 	c, err := New(cfg, dc.UniformFleet(1, 6, 2000), 9)
 	if err != nil {
 		t.Fatal(err)

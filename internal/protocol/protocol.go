@@ -36,33 +36,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Mode selects who receives each invitation.
-type Mode int
-
-const (
-	// Broadcast invites every active server (the default of §II).
-	Broadcast Mode = iota
-	// Groups partitions the fleet statically and invites one group per
-	// round, rotating (footnote 1).
-	Groups
-	// Subset invites a uniform random subset of active servers.
-	Subset
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Broadcast:
-		return "broadcast"
-	case Groups:
-		return "groups"
-	case Subset:
-		return "subset"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Config parameterizes the protocol cluster.
 type Config struct {
 	// Ta, P and Grace follow ecocloud.Config semantics.
@@ -70,9 +43,12 @@ type Config struct {
 	P     float64
 	Grace time.Duration
 
-	Mode   Mode
-	Groups int // group count when Mode == Groups
-	Subset int // subset size when Mode == Subset
+	// InviteGroups and InviteSubset choose who receives each invitation,
+	// with ecocloud.Config semantics: every active server by default, one
+	// rotating static group when InviteGroups is above 1 (footnote 1), a
+	// uniform random subset of InviteSubset servers when it is positive.
+	InviteGroups int
+	InviteSubset int
 
 	// SilentReject drops REJECT replies: only available servers answer, and
 	// the manager closes the round after DecisionWindow instead of counting
@@ -80,11 +56,11 @@ type Config struct {
 	SilentReject   bool
 	DecisionWindow time.Duration
 
-	// Migration procedure (off unless EnableMigration). Tl/Th/Alpha/Beta
-	// follow ecocloud.Config; ScanInterval is the local monitoring cadence;
-	// TransferBytes sizes the live-migration TRANSFER message (VM RAM), so
-	// migration latency reflects moving gigabytes, not a control message.
-	EnableMigration bool
+	// Migration procedure (run once StartMigrationScan is called).
+	// Tl/Th/Alpha/Beta follow ecocloud.Config; ScanInterval is the local
+	// monitoring cadence; TransferBytes sizes the live-migration TRANSFER
+	// message (VM RAM), so migration latency reflects moving gigabytes, not
+	// a control message.
 	Tl, Th          float64
 	Alpha, Beta     float64
 	HighMigTaFactor float64
@@ -141,7 +117,6 @@ func DefaultConfig() Config {
 		Ta:              0.90,
 		P:               3,
 		Grace:           30 * time.Minute,
-		Mode:            Broadcast,
 		DecisionWindow:  500 * time.Microsecond,
 		Latency:         netsim.DefaultLatency(),
 		InviteSize:      64,
@@ -163,16 +138,12 @@ func (c Config) Validate() error {
 	ec := ecocloud.Config{
 		Ta: c.Ta, P: c.P, Grace: c.Grace,
 		Tl: c.Tl, Th: c.Th, Alpha: c.Alpha, Beta: c.Beta, HighMigTaFactor: c.HighMigTaFactor,
-		DisableMigration: !c.EnableMigration,
+		InviteGroups: c.InviteGroups, InviteSubset: c.InviteSubset,
 	}
 	if err := ec.Validate(); err != nil {
 		return err
 	}
 	switch {
-	case c.Mode == Groups && c.Groups < 2:
-		return fmt.Errorf("protocol: Groups mode with %d groups", c.Groups)
-	case c.Mode == Subset && c.Subset < 1:
-		return fmt.Errorf("protocol: Subset mode with size %d", c.Subset)
 	case c.SilentReject && c.DecisionWindow <= 0:
 		return fmt.Errorf("protocol: silent reject needs a positive DecisionWindow")
 	case c.InviteSize <= 0 || c.ReplySize <= 0 || c.AssignSize <= 0:
@@ -183,19 +154,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("protocol: Workers = %d", c.Workers)
 	case c.Impairments.DropProb > 0 && !c.SilentReject && c.RoundTimeout <= 0:
 		return fmt.Errorf("protocol: a lossy fabric with reply counting needs a RoundTimeout")
+	case c.ScanInterval <= 0:
+		return fmt.Errorf("protocol: ScanInterval = %v", c.ScanInterval)
+	case c.TransferBytes <= 0:
+		return fmt.Errorf("protocol: TransferBytes = %d", c.TransferBytes)
 	}
-	if err := c.Impairments.Validate(); err != nil {
-		return err
-	}
-	if c.EnableMigration {
-		switch {
-		case c.ScanInterval <= 0:
-			return fmt.Errorf("protocol: ScanInterval = %v", c.ScanInterval)
-		case c.TransferBytes <= 0:
-			return fmt.Errorf("protocol: TransferBytes = %d", c.TransferBytes)
-		}
-	}
-	return nil
+	return c.Impairments.Validate()
 }
 
 // Stats aggregates what the scalability experiment reports.
@@ -207,7 +171,7 @@ type Stats struct {
 	TotalLatency time.Duration
 	MaxLatency   time.Duration
 
-	// Migration-procedure counters (EnableMigration only).
+	// Migration-procedure counters (StartMigrationScan only).
 	MigrationsLow, MigrationsHigh int
 	MigrationLatency              time.Duration // summed MIGREQ->placed
 	MigrationsAborted             int           // no destination found
@@ -302,12 +266,8 @@ type Cluster struct {
 	band ecocloud.Band
 
 	eng *sim.Engine
-	// net is the message fabric every send goes through. nsim is the
-	// simulated network under it; the checkpoint layer needs the concrete
-	// network for its traffic counters and jitter stream.
-	net  Transport
-	nsim *netsim.Network
-	dc   *dc.DataCenter
+	net *netsim.Network
+	dc  *dc.DataCenter
 
 	mgr    *rng.Source
 	master *rng.Source
@@ -372,15 +332,14 @@ func New(cfg Config, specs []dc.Spec, seed uint64) (*Cluster, error) {
 	}
 	master := rng.New(seed)
 	eng := sim.New()
-	nsim := netsim.New(eng, cfg.Latency, master.Split("net"))
-	nsim.SetImpairments(cfg.Impairments)
+	net := netsim.New(eng, cfg.Latency, master.Split("net"))
+	net.SetImpairments(cfg.Impairments)
 	c := &Cluster{
 		cfg:          cfg,
 		fa:           fa,
 		band:         ecocloud.Band{Tl: cfg.Tl, Th: cfg.Th, Alpha: cfg.Alpha, Beta: cfg.Beta},
 		eng:          eng,
-		net:          nsim,
-		nsim:         nsim,
+		net:          net,
 		dc:           dc.New(specs),
 		mgr:          master.Split("manager"),
 		master:       master,
@@ -474,22 +433,14 @@ func (c *Cluster) retryPlace(vm *trace.VM) {
 	c.PlaceVM(vm)
 }
 
-// openRound broadcasts one invitation under the effective threshold ta,
-// excluding server excludeID (-1 for none), and arranges for decide to run
-// at close. It reports false (and calls nothing) when no server can be
-// invited at all.
+// openRound broadcasts one invitation under the effective threshold ta to
+// the kernel's Invitees, excluding server excludeID (-1 for none), and
+// arranges for decide to run at close. It reports false (and calls nothing)
+// when no server can be invited at all. The invitees keep the kernel's
+// order: netsim draws one latency per destination in send order.
 func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*round)) bool {
 	now := c.eng.Now()
-	targets := c.inviteTargets()
-	if excludeID >= 0 {
-		kept := targets[:0]
-		for _, s := range targets {
-			if s.ID != excludeID {
-				kept = append(kept, s)
-			}
-		}
-		targets = kept
-	}
+	targets := ecocloud.Invitees(c.dc.Servers, excludeID, c.cfg.InviteGroups, c.cfg.InviteSubset, &c.nextGroup, c.mgr)
 	if len(targets) == 0 {
 		return false
 	}
@@ -514,40 +465,6 @@ func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*roun
 		})
 	}
 	return true
-}
-
-// inviteTargets selects the invited active servers per the configured mode.
-func (c *Cluster) inviteTargets() []*dc.Server {
-	var active []*dc.Server
-	for _, s := range c.dc.Servers {
-		if s.State() == dc.Active {
-			active = append(active, s)
-		}
-	}
-	switch c.cfg.Mode {
-	case Groups:
-		g := c.nextGroup % c.cfg.Groups
-		c.nextGroup++
-		var out []*dc.Server
-		for _, s := range active {
-			if s.ID%c.cfg.Groups == g {
-				out = append(out, s)
-			}
-		}
-		return out
-	case Subset:
-		if len(active) <= c.cfg.Subset {
-			return active
-		}
-		perm := c.mgr.Perm(len(active))
-		out := make([]*dc.Server, c.cfg.Subset)
-		for i := range out {
-			out[i] = active[perm[i]]
-		}
-		return out
-	default:
-		return active
-	}
 }
 
 // onServerMessage handles invite, assign, migrate and transfer messages at
@@ -783,16 +700,7 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	// Total saturation: degrade onto the least-utilized active server.
 	c.Stats.Saturations++
 	c.cfg.Obs.Count("protocol.saturations", 1)
-	var best *dc.Server
-	bestU := 0.0
-	for _, s := range c.dc.Servers {
-		if s.State() != dc.Active {
-			continue
-		}
-		if u := s.UtilizationAt(now); best == nil || u < bestU {
-			best, bestU = s, u
-		}
-	}
+	best, _ := c.dc.LeastUtilizedAt(now)
 	if best == nil {
 		panic(fmt.Sprintf("protocol: no server at all for VM %d", vm.ID))
 	}
@@ -880,11 +788,8 @@ func (c *Cluster) recordPlacement(start, now time.Duration) {
 // between two specified thresholds"). Each tick, every active server runs
 // its Bernoulli trial locally and, on success, sends one MIGREQ to the
 // manager. The scan also hibernates servers drained empty, mirroring the
-// cluster driver. Requires EnableMigration.
+// cluster driver.
 func (c *Cluster) StartMigrationScan() {
-	if !c.cfg.EnableMigration {
-		panic("protocol: StartMigrationScan without EnableMigration")
-	}
 	c.eng.Every(c.cfg.ScanInterval, c.cfg.ScanInterval, "migration-scan", func(*sim.Engine) {
 		c.scanTick(c.eng.Now())
 	})

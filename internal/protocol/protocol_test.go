@@ -27,8 +27,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Ta = 0 },
 		func(c *Config) { c.P = -1 },
 		func(c *Config) { c.Grace = -time.Second },
-		func(c *Config) { c.Mode = Groups; c.Groups = 1 },
-		func(c *Config) { c.Mode = Subset; c.Subset = 0 },
+		func(c *Config) { c.InviteGroups = -1 },
+		func(c *Config) { c.InviteSubset = -1 },
 		func(c *Config) { c.SilentReject = true; c.DecisionWindow = 0 },
 		func(c *Config) { c.InviteSize = 0 },
 		func(c *Config) { c.ReplySize = -1 },
@@ -141,8 +141,7 @@ func TestSilentRejectSavesMessages(t *testing.T) {
 
 func TestGroupsInviteOneGroup(t *testing.T) {
 	cfg := fixedConfig()
-	cfg.Mode = Groups
-	cfg.Groups = 4
+	cfg.InviteGroups = 4
 	c, err := New(cfg, dc.UniformFleet(8, 6, 2000), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +160,7 @@ func TestGroupsInviteOneGroup(t *testing.T) {
 
 func TestSubsetInviteLimitsFanout(t *testing.T) {
 	cfg := fixedConfig()
-	cfg.Mode = Subset
-	cfg.Subset = 3
+	cfg.InviteSubset = 3
 	c, err := New(cfg, dc.UniformFleet(10, 6, 2000), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +249,6 @@ func TestDeterminism(t *testing.T) {
 
 func migConfig() Config {
 	cfg := fixedConfig()
-	cfg.EnableMigration = true
 	cfg.ScanInterval = time.Minute
 	cfg.TransferBytes = 1 << 20 // small VMs: keeps test latencies short
 	return cfg
@@ -274,19 +271,6 @@ func TestMigrationConfigValidation(t *testing.T) {
 			t.Errorf("bad migration config %d accepted", i)
 		}
 	}
-}
-
-func TestScanRequiresEnable(t *testing.T) {
-	c, err := New(fixedConfig(), dc.UniformFleet(2, 6, 2000), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scan without EnableMigration did not panic")
-		}
-	}()
-	c.StartMigrationScan()
 }
 
 func TestLowMigrationOverMessages(t *testing.T) {
@@ -431,7 +415,6 @@ func churnDay(t *testing.T, workers int) (Stats, int, int64, []int) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.EnableMigration = true
 	cfg.Workers = workers
 	c, err := New(cfg, dc.UniformFleet(20, 6, 2000), 2)
 	if err != nil {
@@ -500,7 +483,6 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 	for _, f := range fields {
 		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			cfg := DefaultConfig()
-			cfg.EnableMigration = true
 			f.set(&cfg, x)
 			if err := cfg.Validate(); err == nil {
 				t.Errorf("Validate accepted %s = %v", f.name, x)

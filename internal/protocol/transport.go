@@ -2,14 +2,14 @@ package protocol
 
 import "repro/internal/netsim"
 
-// Transport is the message fabric the protocol cluster targets: everything
-// the manager and the server agents need from a network, and nothing more.
-// Two implementations exist:
+// Transport is the message fabric the ecod agents and driver
+// (internal/node) target: everything the manager and the server agents need
+// from a network, and nothing more. Two implementations exist:
 //
-//   - netsim.Network, the simulated fabric every golden figure is pinned on.
-//     Delivery is virtual-time, single-threaded and seed-deterministic; the
-//     protocolday and faults goldens byte-identically pin the cluster's
-//     behaviour over it.
+//   - netsim.Network, the simulated fabric every golden figure is pinned on,
+//     which Cluster uses directly. Delivery is virtual-time,
+//     single-threaded and seed-deterministic; the protocolday and faults
+//     goldens byte-identically pin the cluster's behaviour over it.
 //   - internal/node/tcptransport, real length-prefixed TCP between ecod
 //     processes, where a NodeID maps to a process in the cluster config and
 //     delivery is a socket write.
