@@ -39,7 +39,7 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Parallel-engine speedup curves (2,000 -> 10,000 servers, workers 0 -> 8);
+# Parallel-engine speedup curves (2,000 -> 100,000 servers, workers 0 -> 8);
 # writes out/BENCH_parallel_scale.json and verifies every pooled run is
 # bit-identical to the sequential baseline. See DESIGN.md "Parallel
 # execution & determinism".

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -107,26 +106,18 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 	defer scope.Close()
 	rc.Obs = scope.Rec
 
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
 	var figures []*experiments.Figure
 	save := func(f *experiments.Figure) error {
 		figures = append(figures, f)
-		path := filepath.Join(outDir, f.ID+".csv")
-		file, err := os.Create(path)
+		path, err := f.SaveCSV(outDir)
 		if err != nil {
-			return err
-		}
-		defer file.Close()
-		if err := f.WriteCSV(file); err != nil {
 			return err
 		}
 		fmt.Printf("== %s: %s -> %s\n", f.ID, f.Title, path)
 		for _, n := range f.Notes {
 			fmt.Printf("   %s\n", n)
 		}
-		return file.Close()
+		return nil
 	}
 
 	// The registry request doubles as the replication template, so

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/ascii"
@@ -175,16 +174,8 @@ func runFaults(bound experiments.RunConfig, obsFlags cli.ObsFlags, outDir string
 	}
 	if outDir != "" {
 		for _, f := range rr.Figures {
-			path := filepath.Join(outDir, f.ID+".csv")
-			file, err := os.Create(path)
+			path, err := f.SaveCSV(outDir)
 			if err != nil {
-				return err
-			}
-			if err := f.WriteCSV(file); err != nil {
-				file.Close()
-				return err
-			}
-			if err := file.Close(); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", path)
@@ -271,16 +262,8 @@ func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir str
 
 	if outDir != "" {
 		for _, f := range res.Figures() {
-			path := filepath.Join(outDir, f.ID+".csv")
-			file, err := os.Create(path)
+			path, err := f.SaveCSV(outDir)
 			if err != nil {
-				return err
-			}
-			if err := f.WriteCSV(file); err != nil {
-				file.Close()
-				return err
-			}
-			if err := file.Close(); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", path)

@@ -53,16 +53,11 @@ type Checkpoint struct {
 	PolicyState json.RawMessage `json:"policy_state,omitempty"`
 	// Runner is the cluster driver's accounting (see RunnerState).
 	Runner *RunnerState `json:"runner,omitempty"`
-	// Obs carries the counter/gauge values of the run's telemetry registry.
-	// Timers are excluded: they measure host wall time, not simulation state.
+	// Obs carries the run's telemetry registry. Resume restores the counters
+	// and gauges, not the timers, which measure host wall time. The timers
+	// and the mem.* heap gauges read the host, so two captures of the same
+	// run differ in them and nowhere else.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-
-	// Protocol and Faults are opaque sections for the message-level protocol
-	// cluster and the fault injector (see protocol.Cluster.CheckpointState
-	// and faults.Injector.State). They ride along for assemblies that use
-	// those components; cluster.Run leaves them empty.
-	Protocol json.RawMessage `json:"protocol,omitempty"`
-	Faults   json.RawMessage `json:"faults,omitempty"`
 
 	// Meta is informational provenance (seed, fleet size, experiment name)
 	// written by the assembling layer so a resume can sanity-check that it
@@ -154,9 +149,7 @@ func (c *Checkpoint) Validate() error {
 // with label. The empty label is the identity: the fork replays the original
 // run bit for bit. Any other label re-seeds every stream deterministically
 // from its captured state and the label, so branches with distinct labels
-// diverge while remaining reproducible. The opaque Protocol/Faults sections
-// are copied verbatim — components that keep rng state in there must be
-// re-registered through StreamOwner to take part in forking.
+// diverge while remaining reproducible.
 func (c *Checkpoint) Fork(label string) (*Checkpoint, error) {
 	raw, err := json.Marshal(c)
 	if err != nil {

@@ -61,6 +61,36 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// Files written while the format still had protocol and faults sections
+// load unchanged: Read ignores both keys.
+func TestReadIgnoresRetiredSections(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleCheckpoint()); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["protocol"] = json.RawMessage(`{"next_round":4}`)
+	doc["faults"] = json.RawMessage(`{"stats":{}}`)
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	var rewritten bytes.Buffer
+	if err := Write(&rewritten, got); err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	if !bytes.Equal(rewritten.Bytes(), buf.Bytes()) {
+		t.Fatalf("old file read back as\n%s\nwant\n%s", rewritten.Bytes(), buf.Bytes())
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := sampleCheckpoint().Validate(); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)

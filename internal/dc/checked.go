@@ -33,25 +33,15 @@ func (d *DataCenter) verify(e Event) {
 	}
 }
 
-// CheckRuntime audits the numeric state of the fleet at virtual time now:
-// demands must be finite and non-negative, per-server over-demand must agree
-// with demand minus capacity, and hibernated servers must be empty and
-// demand-free. It complements CheckInvariants, which audits the structural
-// state (indexes, sortedness, RAM accounting) independent of time.
-func (d *DataCenter) CheckRuntime(now time.Duration) error {
-	for i := range d.Servers {
-		if err := d.CheckServerRuntime(i, now); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckServerRuntime audits one server (by index into Servers) at virtual
-// time now — the per-server unit CheckRuntime loops over. It only touches
-// that server's state, so a parallel control round can shard the audit
-// across workers and merge the first error in index order, matching what
-// the sequential loop reports.
+// CheckServerRuntime audits the numeric state of one server (by index into
+// Servers) at virtual time now: demands must be finite and non-negative,
+// per-server over-demand must agree with demand minus capacity, and
+// hibernated servers must be empty and demand-free. It complements
+// CheckInvariants, which audits the structural state (indexes, sortedness,
+// RAM accounting) independent of time. It only touches that server's state,
+// so a parallel control round can shard the audit across workers (see
+// AuditSpan) and merge the first error in index order, matching what the
+// sequential loop reports.
 func (d *DataCenter) CheckServerRuntime(i int, now time.Duration) error {
 	s := d.Servers[i]
 	demand := 0.0

@@ -117,8 +117,8 @@ func TestCheckRuntimeCleanFleet(t *testing.T) {
 	if err := d.Place(constVM(1, 9000), s0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CheckRuntime(30 * time.Minute); err != nil {
-		t.Fatalf("CheckRuntime on a clean fleet: %v", err)
+	if err := d.AuditSpan(0, len(d.Servers), 30*time.Minute); err != nil {
+		t.Fatalf("AuditSpan on a clean fleet: %v", err)
 	}
 }
 
@@ -142,9 +142,9 @@ func TestCheckRuntimeRejectsBadDemand(t *testing.T) {
 			if err := d.Place(constVM(1, tc.mhz), s0); err != nil {
 				t.Fatal(err)
 			}
-			err := d.CheckRuntime(0)
+			err := d.AuditSpan(0, len(d.Servers), 0)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("CheckRuntime = %v, want error containing %q", err, tc.want)
+				t.Fatalf("AuditSpan = %v, want error containing %q", err, tc.want)
 			}
 		})
 	}
@@ -156,8 +156,36 @@ func TestCheckRuntimeRejectsDemandOnHibernated(t *testing.T) {
 	// Bypass the API to force the impossible state: a hibernated server
 	// carrying a demanding VM.
 	s0.insert(constVM(1, 500))
-	err := d.CheckRuntime(0)
+	err := d.AuditSpan(0, len(d.Servers), 0)
 	if err == nil || !strings.Contains(err.Error(), "hibernated server") {
-		t.Fatalf("CheckRuntime = %v, want hibernated-server error", err)
+		t.Fatalf("AuditSpan = %v, want hibernated-server error", err)
+	}
+}
+
+func TestAuditSpanReportsLowestBadServerInSpan(t *testing.T) {
+	d := New(UniformFleet(4, 4, 2000))
+	for _, s := range d.Servers {
+		if err := d.Activate(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Server 0 is bad but outside [1, 4); servers 2 and 3 are bad inside it.
+	for _, p := range []struct {
+		vm, server int
+		mhz        float64
+	}{{10, 0, -5}, {11, 1, 500}, {12, 2, math.NaN()}, {13, 3, -5}} {
+		if err := d.Place(constVM(p.vm, p.mhz), d.Servers[p.server]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.AuditSpan(1, 2, 0); err != nil {
+		t.Fatalf("AuditSpan over the clean server 1: %v", err)
+	}
+	err := d.AuditSpan(1, 4, 0)
+	if err == nil || !strings.Contains(err.Error(), "VM 12 on server 2") {
+		t.Fatalf("AuditSpan(1, 4) = %v, want the error of server 2", err)
+	}
+	if err := d.AuditSpan(0, len(d.Servers), 0); err == nil || !strings.Contains(err.Error(), "server 0") {
+		t.Fatalf("AuditSpan over the fleet = %v, want the error of server 0", err)
 	}
 }

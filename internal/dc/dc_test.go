@@ -272,8 +272,8 @@ func TestActiveCountAndPlacedDemand(t *testing.T) {
 	if err := d.Place(constVM(2, 2000), d.Servers[3]); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PlacedDemandAt(0); got != 3000 {
-		t.Fatalf("placed demand = %v", got)
+	if got := d.Servers[0].DemandAt(0) + d.Servers[3].DemandAt(0); d.NumPlaced() != 2 || got != 3000 {
+		t.Fatalf("placed %d VMs with demand %v, want 2 with 3000", d.NumPlaced(), got)
 	}
 }
 

@@ -97,7 +97,7 @@ func (s *Server) demandAt(t time.Duration) float64 {
 
 // refill recomputes the aggregate through the cursors — the exact summation
 // (VM-ID order) the naive path runs — and installs the validity window. It
-// does not touch the hit/miss counters; demandAt and WarmDemandCache account
+// does not touch the hit/miss counters; demandAt and WarmSpan account
 // for their own accesses.
 //
 //ecolint:hotpath
@@ -118,27 +118,6 @@ func (s *Server) refill(t time.Duration) float64 {
 	h := &s.d.hot
 	h.kValid[s.ID], h.kFrom[s.ID], h.kUntil[s.ID], h.kSum[s.ID] = true, from, until, sum
 	return sum
-}
-
-// WarmDemandCache refills the server's demand aggregate for time t without
-// counting the access, so a prewarmed run reports the same total number of
-// demand lookups as a sequential one (the hit/miss split shifts toward hits;
-// the sum of the two is what the accounting tests pin down). It exists for
-// the parallel control round: workers warm every server's cache up front —
-// a per-server mutation, safe to shard — and the sequential policy scan that
-// follows then takes the hit path for every server. The installed value is
-// bit-identical to what a miss at t would have installed, so warming never
-// changes any demand a later read returns. No-op when the kernel is disabled
-// or the cached window already covers t.
-func (s *Server) WarmDemandCache(t time.Duration) {
-	if s.d.kernelDisabled {
-		return
-	}
-	h := &s.d.hot
-	if h.kValid[s.ID] && t >= h.kFrom[s.ID] && t < h.kUntil[s.ID] {
-		return
-	}
-	s.refill(t)
 }
 
 // DemandCacheStats aggregates the demand kernel's counters across a fleet.

@@ -45,7 +45,7 @@ func TestFailEvictsAndRecoverRejoins(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CheckRuntime(10 * time.Minute); err != nil {
+	if err := d.AuditSpan(0, len(d.Servers), 10*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	// A dead machine is unusable until repaired.
@@ -228,7 +228,7 @@ func FuzzCrashRecoverSequence(f *testing.F) {
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatalf("op %d (%d on server %d): %v", i/2, op, s.ID, err)
 			}
-			if err := d.CheckRuntime(now); err != nil {
+			if err := d.AuditSpan(0, len(d.Servers), now); err != nil {
 				t.Fatalf("op %d (%d on server %d): %v", i/2, op, s.ID, err)
 			}
 		}

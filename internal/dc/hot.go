@@ -96,8 +96,16 @@ func (d *DataCenter) ObserveSpan(lo, hi int, now time.Duration, out []TickSample
 }
 
 // WarmSpan refills the demand aggregate of every active server in [lo, hi)
-// without counting the access (see Server.WarmDemandCache). Safe to shard:
-// it mutates only words indexed by server ID.
+// for time now without counting the access, so a prewarmed run reports the
+// same total number of demand lookups as a sequential one (the hit/miss
+// split shifts toward hits; the sum of the two is what the accounting tests
+// pin down). It exists for the parallel control round: workers warm every
+// server's cache up front, and the sequential policy scan that follows then
+// takes the hit path for every server. The installed value is bit-identical
+// to what a miss at now would have installed, so warming never changes any
+// demand a later read returns. Servers whose cached window already covers
+// now are skipped; the whole call is a no-op when the kernel is disabled.
+// Safe to shard: it mutates only words indexed by server ID.
 //
 //ecolint:hotpath
 func (d *DataCenter) WarmSpan(lo, hi int, now time.Duration) {
@@ -132,9 +140,10 @@ func (d *DataCenter) UtilSpan(lo, hi int, now time.Duration, out []float64) {
 	}
 }
 
-// AuditSpan runs the checked-mode numeric audit over [lo, hi) and returns
-// the first error in server-index order, or nil — the span unit the parallel
-// control round shards (see CheckServerRuntime).
+// AuditSpan runs the checked-mode numeric audit (see CheckServerRuntime)
+// over [lo, hi) and returns the first error in server-index order, or nil.
+// AuditSpan(0, len(d.Servers), now) audits the whole fleet; a narrower span
+// is the unit the parallel control round shards.
 func (d *DataCenter) AuditSpan(lo, hi int, now time.Duration) error {
 	for i := lo; i < hi; i++ {
 		if err := d.CheckServerRuntime(i, now); err != nil {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +51,31 @@ func TestFigureWriteCSV(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("CSV missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestFigureSaveCSV(t *testing.T) {
+	f := &Figure{ID: "fig0", Title: "demo", Columns: []string{"x", "y"}}
+	f.Add(1, 2.5)
+	f.Notef("n=%d", 1)
+	var want bytes.Buffer
+	if err := f.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "missing", "out")
+	path, err := f.SaveCSV(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path != filepath.Join(dir, "fig0.csv") {
+		t.Fatalf("path = %q", path)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("SaveCSV wrote\n%s\nWriteCSV writes\n%s", got, want.Bytes())
 	}
 }
 

@@ -154,10 +154,11 @@ func runFaultCell(opts FaultsOptions, fcfg faults.Config) (faultCell, error) {
 	inj.Finish()
 	// Graceful degradation is a claim about state, not just survival: the
 	// wreckage must still satisfy every structural and runtime invariant.
-	if err := c.DC().CheckInvariants(); err != nil {
+	d := c.DC()
+	if err := d.CheckInvariants(); err != nil {
 		return faultCell{}, fmt.Errorf("post-run invariants: %v", err)
 	}
-	if err := c.DC().CheckRuntime(opts.Churn.Horizon); err != nil {
+	if err := d.AuditSpan(0, len(d.Servers), opts.Churn.Horizon); err != nil {
 		return faultCell{}, fmt.Errorf("post-run runtime audit: %v", err)
 	}
 	total := 0.0

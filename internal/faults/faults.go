@@ -155,13 +155,6 @@ type Injector struct {
 	downAt      map[int]time.Duration // failed server -> crash time
 	outstanding map[int]evacWindow    // evacuated VM -> open downtime window
 
-	// nextEvent tracks each server's pending crash-or-repair clock as an
-	// absolute virtual time. Crash and repair alternate strictly per server,
-	// so one slot suffices; the pending kind is derivable (a down server's
-	// next event is its repair). Checkpointing needs this because the clocks
-	// themselves live in the engine's queue, which is not serializable.
-	nextEvent map[int]time.Duration
-
 	Stats Stats
 }
 
@@ -192,7 +185,6 @@ func New(cfg Config, servers int, horizon time.Duration, seed uint64) (*Injector
 		wake:        make(map[int]*rng.Source),
 		downAt:      make(map[int]time.Duration),
 		outstanding: make(map[int]evacWindow),
-		nextEvent:   make(map[int]time.Duration),
 	}, nil
 }
 
@@ -238,7 +230,6 @@ func (in *Injector) drawExp(src *rng.Source, mean time.Duration) time.Duration {
 }
 
 func (in *Injector) scheduleCrash(id int, after time.Duration) {
-	in.nextEvent[id] = in.eng.Now() + after
 	in.eng.After(after, "fault:crash", func(*sim.Engine) { in.crashNow(id) })
 }
 
@@ -271,7 +262,6 @@ func (in *Injector) crashNow(id int) {
 		in.tgt.ReplaceVM(vm)
 	}
 	repair := in.drawExp(in.crashSrc(id), in.cfg.MTTR)
-	in.nextEvent[id] = now + repair
 	in.eng.After(repair, "fault:recover", func(*sim.Engine) {
 		in.recoverNow(id)
 	})

@@ -190,14 +190,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.V))
 }
 
-// Last returns the final sample value (0 for an empty series).
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
 // RateCounter converts discrete events into an events-per-hour series
 // bucketed on a fixed interval, which is how the paper reports migration and
 // switch frequencies (Figs. 9–10, computed every 30 minutes).

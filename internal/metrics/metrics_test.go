@@ -141,14 +141,14 @@ func TestHistogramPanicsOnBadShape(t *testing.T) {
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("x")
-	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 || s.Last() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 {
 		t.Fatal("empty series should report zeros")
 	}
 	s.Add(0, 1)
 	s.Add(time.Minute, 3)
 	s.Add(2*time.Minute, 2)
-	if s.Len() != 3 || s.Max() != 3 || s.Min() != 1 || s.Last() != 2 {
-		t.Fatalf("len/max/min/last = %d/%v/%v/%v", s.Len(), s.Max(), s.Min(), s.Last())
+	if s.Len() != 3 || s.Max() != 3 || s.Min() != 1 {
+		t.Fatalf("len/max/min = %d/%v/%v", s.Len(), s.Max(), s.Min())
 	}
 	if s.Mean() != 2 {
 		t.Fatalf("mean = %v", s.Mean())

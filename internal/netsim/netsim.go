@@ -110,9 +110,9 @@ type Network struct {
 	src      *rng.Source
 	handlers map[NodeID]Handler
 
-	// Counters for the scalability experiments.
-	Sent  int
-	Bytes int64
+	// Counters for the scalability experiments, read through Stats.
+	sent  int
+	bytes int64
 	// Impairment counters: deliveries lost, extra deliveries injected.
 	Dropped    int
 	Duplicated int
@@ -137,15 +137,11 @@ func New(eng *sim.Engine, lat LatencyModel, src *rng.Source) *Network {
 	return &Network{eng: eng, lat: lat, src: src, handlers: make(map[NodeID]Handler)}
 }
 
-// RNG exposes the network's jitter stream so checkpointing layers can
-// capture and restore its position alongside the other simulation streams.
-func (n *Network) RNG() *rng.Source { return n.src }
-
-// Stats returns the wire transmissions and bytes delivered so far. It is the
-// method form of the Sent/Bytes counters, making Network satisfy
-// protocol.Transport so the invitation protocol can run unchanged over this
-// simulated fabric or over real sockets (internal/node/tcptransport).
-func (n *Network) Stats() (sent int, bytes int64) { return n.Sent, n.Bytes }
+// Stats returns the wire transmissions and bytes delivered so far. It makes
+// Network satisfy protocol.Transport so the invitation protocol can run
+// unchanged over this simulated fabric or over real sockets
+// (internal/node/tcptransport).
+func (n *Network) Stats() (sent int, bytes int64) { return n.sent, n.bytes }
 
 // Register installs the handler for a node. Re-registering replaces it.
 func (n *Network) Register(id NodeID, h Handler) {
@@ -158,8 +154,8 @@ func (n *Network) Register(id NodeID, h Handler) {
 // Send queues one message for delivery. Sending to an unregistered node is
 // a programming error and panics at delivery time, when the bug manifests.
 func (n *Network) Send(msg Message) {
-	n.Sent++
-	n.Bytes += int64(msg.Size)
+	n.sent++
+	n.bytes += int64(msg.Size)
 	n.deliver(msg)
 }
 
@@ -171,9 +167,9 @@ func (n *Network) Broadcast(from NodeID, tos []NodeID, kind string, payload any,
 	if len(tos) == 0 {
 		return
 	}
-	n.Sent++ // one wire transmission
+	n.sent++ // one wire transmission
 	for _, to := range tos {
-		n.Bytes += int64(size)
+		n.bytes += int64(size)
 		n.deliver(Message{From: from, To: to, Kind: kind, Payload: payload, Size: size})
 	}
 }

@@ -30,8 +30,8 @@ func TestSendDelivers(t *testing.T) {
 	if eng.Now() != time.Millisecond {
 		t.Fatalf("delivery at %v, want 1ms", eng.Now())
 	}
-	if net.Sent != 1 || net.Bytes != 100 {
-		t.Fatalf("counters = %d msgs / %d bytes", net.Sent, net.Bytes)
+	if net.sent != 1 || net.bytes != 100 {
+		t.Fatalf("counters = %d msgs / %d bytes", net.sent, net.bytes)
 	}
 }
 
@@ -79,11 +79,11 @@ func TestBroadcastCountsOneSend(t *testing.T) {
 	if delivered != 5 {
 		t.Fatalf("delivered = %d, want 5", delivered)
 	}
-	if net.Sent != 1 {
-		t.Fatalf("sent = %d, want 1 (hardware broadcast)", net.Sent)
+	if net.sent != 1 {
+		t.Fatalf("sent = %d, want 1 (hardware broadcast)", net.sent)
 	}
-	if net.Bytes != 5*64 {
-		t.Fatalf("bytes = %d, want 320", net.Bytes)
+	if net.bytes != 5*64 {
+		t.Fatalf("bytes = %d, want 320", net.bytes)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestBroadcastEmptyIsNoop(t *testing.T) {
 	eng := sim.New()
 	net := New(eng, fixedLatency(time.Millisecond), rng.New(3))
 	net.Broadcast(0, nil, "invite", nil, 64)
-	if net.Sent != 0 {
+	if net.sent != 0 {
 		t.Fatal("empty broadcast counted a send")
 	}
 }
@@ -132,8 +132,8 @@ func TestRequestReplyRoundTrip(t *testing.T) {
 	if replyAt != 2*time.Millisecond {
 		t.Fatalf("round trip = %v, want 2ms", replyAt)
 	}
-	if net.Sent != 2 {
-		t.Fatalf("sent = %d, want 2", net.Sent)
+	if net.sent != 2 {
+		t.Fatalf("sent = %d, want 2", net.sent)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestDropLosesDeliveries(t *testing.T) {
 		t.Fatalf("dropped = %d of %d at p=0.5", net.Dropped, sent)
 	}
 	// The wire transmission still happened and still counts.
-	if net.Sent != sent || net.Bytes != 8*sent {
-		t.Fatalf("counters = %d msgs / %d bytes", net.Sent, net.Bytes)
+	if net.sent != sent || net.bytes != 8*sent {
+		t.Fatalf("counters = %d msgs / %d bytes", net.sent, net.bytes)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestBroadcastImpairsPerDelivery(t *testing.T) {
 	}
 	net.Broadcast(0, tos, "invite", nil, 64)
 	eng.Run(0)
-	if net.Sent != 1 {
-		t.Fatalf("sent = %d, want 1", net.Sent)
+	if net.sent != 1 {
+		t.Fatalf("sent = %d, want 1", net.sent)
 	}
 	if delivered+net.Dropped != 100 {
 		t.Fatalf("delivered %d + dropped %d != 100", delivered, net.Dropped)

@@ -165,11 +165,13 @@ func (d *driver) send(to int, kind string, payload any, size int) {
 	})
 }
 
-// broadcast sends one frame per node, node 0 (loopback) included.
+// broadcast sends one frame per node, node 0 (loopback) last. Node 0's
+// agent shares this transport and reads its counters when the done frame
+// arrives, so every other frame of the broadcast must be counted by then.
 func (d *driver) broadcast(kind string, payload any, size int) {
 	tos := make([]netsim.NodeID, d.n)
 	for i := range tos {
-		tos[i] = netsim.NodeID(i)
+		tos[i] = netsim.NodeID((i + 1) % d.n)
 	}
 	d.tr.Broadcast(netsim.NodeID(driverNode), tos, kind, payload, size)
 }

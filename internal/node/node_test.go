@@ -80,6 +80,13 @@ func runCluster(t *testing.T, cfg *ClusterConfig, listeners []net.Listener) (*ex
 	sums := make([]summaryMsg, len(nodes))
 	for i, n := range nodes {
 		sums[i] = n.agent.final
+		// Every agent reads its transport's counters just before it sends
+		// its summary, the node's last frame, so the reported count is
+		// final minus one whatever the goroutine schedule.
+		if sent, _ := n.tr.Stats(); int64(sent) != sums[i].MsgsSent+1 {
+			t.Fatalf("node %d reported %d frames sent before its summary, transport sent %d in total",
+				i, sums[i].MsgsSent, sent)
+		}
 	}
 	return merged, sums
 }

@@ -269,8 +269,7 @@ type Cluster struct {
 	net *netsim.Network
 	dc  *dc.DataCenter
 
-	mgr    *rng.Source
-	master *rng.Source
+	mgr *rng.Source
 	// servers holds every server's private stream, derived up front so the
 	// scan's decision phase only ever reads the map.
 	servers map[int]*rng.Source
@@ -342,7 +341,6 @@ func New(cfg Config, specs []dc.Spec, seed uint64) (*Cluster, error) {
 		net:          net,
 		dc:           dc.New(specs),
 		mgr:          master.Split("manager"),
-		master:       master,
 		servers:      make(map[int]*rng.Source, len(specs)),
 		scan:         make([]scanDecision, len(specs)),
 		rounds:       make(map[int]*round),

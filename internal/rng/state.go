@@ -2,7 +2,6 @@ package rng
 
 import (
 	"fmt"
-	"sort"
 )
 
 // State is the complete serializable state of a Source: the four xoshiro256++
@@ -70,8 +69,7 @@ func (st State) Fork(label string) State {
 // so a stream silently missing from either side is an error instead of a
 // divergence.
 type Registry struct {
-	labels []string
-	srcs   map[string]*Source
+	srcs map[string]*Source
 }
 
 // NewRegistry returns an empty registry.
@@ -92,14 +90,6 @@ func (r *Registry) Add(label string, src *Source) {
 		panic("rng: Registry.Add duplicate label " + label)
 	}
 	r.srcs[label] = src
-	r.labels = append(r.labels, label)
-}
-
-// Labels returns the registered labels in sorted order.
-func (r *Registry) Labels() []string {
-	out := append([]string(nil), r.labels...)
-	sort.Strings(out)
-	return out
 }
 
 // States captures the state of every registered source, keyed by label.
