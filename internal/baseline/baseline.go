@@ -132,10 +132,7 @@ func (c *Centralized) pick(env cluster.Env, demand float64, exclude map[int]bool
 // exists.
 func (c *Centralized) wake(env cluster.Env, demand float64) *dc.Server {
 	var best *dc.Server
-	for _, s := range env.DC.Servers {
-		if s.State() != dc.Hibernated {
-			continue
-		}
+	for _, s := range env.DC.HibernatedServers() {
 		if demand > c.cfg.Upper*s.CapacityMHz() {
 			continue
 		}
@@ -334,11 +331,9 @@ func (*AllOn) Name() string { return "allon" }
 // OnArrival places the VM on the least-utilized server, activating the
 // whole fleet lazily on first use.
 func (*AllOn) OnArrival(env cluster.Env, vm *trace.VM) {
-	for _, s := range env.DC.Servers {
-		if s.State() == dc.Hibernated {
-			if err := env.DC.Activate(s, env.Now); err != nil {
-				panic(err)
-			}
+	for _, s := range env.DC.HibernatedServers() {
+		if err := env.DC.Activate(s, env.Now); err != nil {
+			panic(err)
 		}
 	}
 	dest, _ := env.DC.LeastUtilizedAt(env.Now)

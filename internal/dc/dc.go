@@ -327,6 +327,18 @@ func (d *DataCenter) ActiveCount() int {
 	return n
 }
 
+// HibernatedServers returns the hibernated servers in ID order: the ones a
+// manager may wake.
+func (d *DataCenter) HibernatedServers() []*Server {
+	var out []*Server
+	for i, st := range d.hot.state {
+		if st == Hibernated {
+			out = append(out, d.Servers[i])
+		}
+	}
+	return out
+}
+
 // LeastUtilizedAt returns the active server with the lowest utilization at
 // time t, and that utilization; ties keep the lowest ID. It returns nil when
 // no server is active. Every engine's saturation fallback is this scan.

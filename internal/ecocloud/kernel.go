@@ -14,7 +14,8 @@ import (
 // agents. A server-side function sees one server's local view, that
 // server's private rng stream and the thresholds, and nothing else, so a
 // decision never depends on another server or on the order servers are
-// visited in. Invitees is the one manager-side decision: who is invited.
+// visited in. Invitees and Wake are the manager-side decisions: who is
+// invited, and which sleeping server is woken when nobody accepts.
 
 // Accept is an invited server's answer to one invitation round (§II). ta is
 // the round's threshold: f.Ta for an arrival or a low migration, Ta' for a
@@ -173,4 +174,31 @@ func Invitees(servers []*dc.Server, exclude, groups, subset int, next *int, mgr 
 		sample[i] = out[perm[i]]
 	}
 	return sample
+}
+
+// Wake is the manager's fallback when no server accepts (§II): "the
+// manager wakes up an inactive server". cands are the hibernated servers
+// the engine may wake, in ID order. Wake draws one mgr.Intn and picks
+// uniformly among the candidates that fit the VM, with fit true. When none
+// fits it draws nothing and returns the largest candidate by capMHz, ties
+// to the first, with fit false: the caller wakes it to limit the damage or
+// gives up. ok is false, and nothing is drawn, when cands is empty.
+func Wake[S any](mgr *rng.Source, cands []S, capMHz func(S) float64, fits func(S) bool) (wake S, fit, ok bool) {
+	if len(cands) == 0 {
+		return wake, false, false
+	}
+	var fitting []S
+	wake = cands[0]
+	for _, s := range cands {
+		if fits(s) {
+			fitting = append(fitting, s)
+		}
+		if capMHz(s) > capMHz(wake) {
+			wake = s
+		}
+	}
+	if len(fitting) > 0 {
+		return fitting[mgr.Intn(len(fitting))], true, true
+	}
+	return wake, false, true
 }

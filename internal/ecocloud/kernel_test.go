@@ -505,3 +505,72 @@ func TestTrialCriticalUsesSingleTrial(t *testing.T) {
 		t.Fatalf("AllTrials prob %v not below critical-only %v", all, want)
 	}
 }
+
+// wakeFleet is a sleeping fleet for the Wake tests: candidate IDs in order
+// and their capacities in MHz.
+type wakeFleet []float64
+
+func (f wakeFleet) ids() []int {
+	ids := make([]int, len(f))
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+func (f wakeFleet) capMHz(id int) float64 { return f[id] }
+
+// fitsUnder is the CPU fit the engines use: demand under ta of capacity.
+func (f wakeFleet) fitsUnder(demand, ta float64) func(int) bool {
+	return func(id int) bool { return demand <= ta*f[id] }
+}
+
+func TestWakeUniformAmongFitting(t *testing.T) {
+	f := wakeFleet{8000, 2000, 12000, 4000, 12000}
+	// 3000 MHz under Ta = 0.9 fits servers 0, 2 and 4 only.
+	fitting := []int{0, 2, 4}
+	mgr, ref := rng.New(kernelSeed), rng.New(kernelSeed)
+	id, fit, ok := Wake(mgr, f.ids(), f.capMHz, f.fitsUnder(3000, 0.9))
+	if !ok || !fit {
+		t.Fatalf("Wake = (%d, fit %v, ok %v), want a fitting server", id, fit, ok)
+	}
+	if want := fitting[ref.Intn(len(fitting))]; id != want {
+		t.Fatalf("woke server %d, reference stream says %d", id, want)
+	}
+	if mgr.State() != ref.State() {
+		t.Fatal("a fitting wake consumed other than exactly one Intn")
+	}
+	// A fit beats a larger server that does not fit.
+	id, fit, _ = Wake(rng.New(kernelSeed), f.ids(), f.capMHz, func(id int) bool { return id == 1 })
+	if id != 1 || !fit {
+		t.Fatalf("only server 1 fits, Wake = (%d, fit %v)", id, fit)
+	}
+}
+
+func TestWakeNoFitFallsBackToFirstLargest(t *testing.T) {
+	f := wakeFleet{8000, 12000, 4000, 12000}
+	src := rng.New(kernelSeed)
+	id, fit, ok := Wake(src, f.ids(), f.capMHz, f.fitsUnder(20000, 0.9))
+	if !ok || fit || id != 1 {
+		t.Fatalf("Wake = (%d, fit %v, ok %v), want the first of the largest (1), unfit", id, fit, ok)
+	}
+	if n := draws(t, src); n != 0 {
+		t.Fatalf("unfit wake consumed %d draws", n)
+	}
+	// The candidates, not the fleet, decide: without server 1, server 3 is
+	// the largest.
+	if id, _, _ := Wake(src, []int{0, 2, 3}, f.capMHz, f.fitsUnder(20000, 0.9)); id != 3 {
+		t.Fatalf("largest of servers 0, 2, 3 = %d, want 3", id)
+	}
+}
+
+func TestWakeNoCandidates(t *testing.T) {
+	src := rng.New(kernelSeed)
+	id, fit, ok := Wake(src, nil, wakeFleet{}.capMHz, func(int) bool { return true })
+	if ok || fit || id != 0 {
+		t.Fatalf("Wake over no candidates = (%d, fit %v, ok %v), want none", id, fit, ok)
+	}
+	if n := draws(t, src); n != 0 {
+		t.Fatalf("empty wake consumed %d draws", n)
+	}
+}

@@ -208,9 +208,10 @@ func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
 // selectDestination runs one invitation round: invite the kernel's
 // Invitees (a sampled subset back in ID order), let each answer under the
 // round threshold ta, and pick uniformly among the accepting ones.
-// With no acceptor and allowWake set, a hibernated server is woken and
-// returned (its grace period starts now). Returns nil when no destination
-// exists.
+// With no acceptor and allowWake set, the server Wake picks is woken and
+// returned (its grace period starts now), even when it does not fit: an
+// arrival or a high migration then degrades onto the largest sleeping
+// server. Returns nil when no destination exists.
 //
 // The invitation carries the VM's CPU demand (the manager knows the
 // application's resource requirements, §I), and availability includes the
@@ -254,32 +255,14 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 	if !allowWake {
 		return nil
 	}
-	// Wake a hibernated server that can actually fit the VM; if the VM is
-	// too big for every sleeping machine, wake the largest one and degrade.
-	var sleeping, fitting []*dc.Server
-	for _, s := range env.DC.Servers {
-		if s.State() != dc.Hibernated {
-			continue
-		}
-		sleeping = append(sleeping, s)
+	// Wake a hibernated server that can fit the VM under ta and, with §V
+	// on, its memory under RAM.Ta; if none can, wake the largest and degrade.
+	wake, _, ok := Wake(p.mgr, env.DC.HibernatedServers(), (*dc.Server).CapacityMHz, func(s *dc.Server) bool {
 		fitsRAM := p.cfg.RAM == nil || s.Spec.RAMMB <= 0 || ramMB <= p.cfg.RAM.Ta*s.Spec.RAMMB
-		if demandMHz <= ta*s.CapacityMHz() && fitsRAM {
-			fitting = append(fitting, s)
-		}
-	}
-	if len(sleeping) == 0 {
+		return demandMHz <= ta*s.CapacityMHz() && fitsRAM
+	})
+	if !ok {
 		return nil
-	}
-	var wake *dc.Server
-	if len(fitting) > 0 {
-		wake = fitting[p.mgr.Intn(len(fitting))]
-	} else {
-		wake = sleeping[0]
-		for _, s := range sleeping[1:] {
-			if s.CapacityMHz() > wake.CapacityMHz() {
-				wake = s
-			}
-		}
 	}
 	if err := env.DC.Activate(wake, env.Now); err != nil {
 		panic(fmt.Sprintf("ecocloud: waking server %d: %v", wake.ID, err))

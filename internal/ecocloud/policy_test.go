@@ -80,6 +80,35 @@ func TestArrivalOnEmptyFleetWakesServer(t *testing.T) {
 	}
 }
 
+// With §V on, a sleeping server fits only if the VM's memory fits under
+// RAM.Ta too. Four large servers with little memory fit the VM's CPU but not
+// its memory; the small server that fits both is the only one woken.
+func TestArrivalWakesOnlyServerFittingRAM(t *testing.T) {
+	specs := []dc.Spec{
+		{Cores: 8, CoreMHz: 2000, RAMMB: 2048},
+		{Cores: 8, CoreMHz: 2000, RAMMB: 2048},
+		{Cores: 8, CoreMHz: 2000, RAMMB: 2048},
+		{Cores: 8, CoreMHz: 2000, RAMMB: 2048},
+		{Cores: 4, CoreMHz: 2000, RAMMB: 16384},
+	}
+	cfg := DefaultConfig()
+	cfg.RAM = DefaultRAMConfig()
+	for seed := uint64(1); seed <= 20; seed++ {
+		d := dc.New(specs)
+		p := mustPolicy(t, cfg, seed)
+		vm := constVM(1, 1000)
+		vm.RAMMB = 4096
+		p.OnArrival(newEnv(d, 0), vm)
+		host, ok := d.HostOf(1)
+		if !ok {
+			t.Fatalf("seed %d: VM not placed", seed)
+		}
+		if host.ID != 4 {
+			t.Fatalf("seed %d: woke server %d, want server 4, the only one with the memory", seed, host.ID)
+		}
+	}
+}
+
 func TestGraceServerAcceptsFollowUps(t *testing.T) {
 	d := dc.New(dc.UniformFleet(4, 6, 2000))
 	p := mustPolicy(t, DefaultConfig(), 2)

@@ -38,6 +38,10 @@ func DefaultProtocolDayOptions() ProtocolDayOptions {
 	}
 }
 
+// ProtocolDayFleet is the fleet ProtocolDay runs: servers uniform six-core
+// 2 GHz machines.
+func ProtocolDayFleet(servers int) []dc.Spec { return dc.UniformFleet(servers, 6, 2000) }
+
 // ProtocolDay runs the experiment and reports the control-plane budget.
 func ProtocolDay(opts ProtocolDayOptions) (*Figure, error) {
 	// RunConfig is canonical: NumVMs/Horizon drive the churn generator.
@@ -49,7 +53,7 @@ func ProtocolDay(opts ProtocolDayOptions) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := protocol.New(opts.Proto, dc.UniformFleet(opts.Servers, 6, 2000), opts.Seed+1)
+	c, err := protocol.New(opts.Proto, ProtocolDayFleet(opts.Servers), opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 		span:   span,
 		cfg:    cfg,
 		pcfg:   pcfg,
-		dcen:   dc.New(dc.UniformFleet(span.Size(), cfg.Cores, cfg.CoreMHz)),
+		dcen:   dc.New(cfg.Fleet()[span.Lo:span.Hi]),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
 		fa:     fa,
 		band:   ecocloud.Band{Tl: pcfg.Tl, Th: pcfg.Th, Alpha: pcfg.Alpha, Beta: pcfg.Beta},

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/dc"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
 	"repro/internal/trace"
@@ -63,7 +64,7 @@ type ClusterConfig struct {
 	// streams (Seed+1), the same convention as the protocolday experiment.
 	Seed uint64
 
-	// Fleet shape: Servers uniform machines of Cores x CoreMHz.
+	// Fleet shape: Servers machines of Cores x CoreMHz (see Fleet).
 	Servers int
 	Cores   int
 	CoreMHz float64
@@ -155,6 +156,13 @@ func (c *ClusterConfig) Owner(id int) int {
 		}
 	}
 	panic(fmt.Sprintf("node: server %d outside every span", id))
+}
+
+// Fleet returns the server specs, indexed by global server ID: Servers
+// uniform machines of Cores x CoreMHz. The driver and the agents read
+// capacity per server from it, so a heterogeneous fleet changes only this.
+func (c *ClusterConfig) Fleet() []dc.Spec {
+	return dc.UniformFleet(c.Servers, c.Cores, c.CoreMHz)
 }
 
 // Churn returns the workload generator configuration. Every node generates

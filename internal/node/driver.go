@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dc"
 	"repro/internal/ecocloud"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -35,9 +36,9 @@ type driver struct {
 	fa   ecocloud.AssignProbFunc
 	ws   *trace.Set
 
-	n      int     // nodes
-	capMHz float64 // uniform server capacity
-	active []bool  // power-state mirror, indexed by global server ID
+	n      int       // nodes
+	fleet  []dc.Spec // server specs, indexed by global server ID
+	active []bool    // power-state mirror, indexed by global server ID
 	loc    map[int]int
 	vmByID map[int]*trace.VM
 
@@ -45,7 +46,9 @@ type driver struct {
 	// dropped the TRANSFER frame. Zero means wait forever (perfect fabric).
 	watchdog time.Duration
 
-	stats     driverStats
+	// stats counts the manager-side outcomes; the fields that only netsim
+	// fault paths and latency bookkeeping reach stay zero.
+	stats     protocol.Stats
 	nextRound int
 
 	replyCh    chan replyMsg
@@ -56,18 +59,6 @@ type driver struct {
 	migratedCh chan migratedMsg
 	utilCh     chan utilBestMsg
 	summaryCh  chan summaryMsg
-}
-
-// driverStats are the manager-side counters, named after their
-// protocol.Stats counterparts.
-type driverStats struct {
-	Placements        int
-	Wakes             int
-	Saturations       int
-	MigrationsLow     int
-	MigrationsHigh    int
-	MigrationsAborted int
-	MigrationsExpired int
 }
 
 const migWatchdog = 2 * time.Second
@@ -87,7 +78,7 @@ func newDriver(cfg *ClusterConfig, ws *trace.Set, tr protocol.Transport) (*drive
 		fa:     fa,
 		ws:     ws,
 		n:      len(cfg.Nodes),
-		capMHz: float64(cfg.Cores) * cfg.CoreMHz,
+		fleet:  cfg.Fleet(),
 		active: make([]bool, cfg.Servers),
 		loc:    make(map[int]int),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
@@ -249,30 +240,10 @@ func (d *driver) assign(now time.Duration, vm *trace.VM, server int, wake bool) 
 // wakeAssign mirrors the netsim manager's fallback tiers, minus the
 // pending-wake bookkeeping: barriers land every wake synchronously in
 // virtual time, so a wake is never "in flight" when the next placement
-// decides — WakeReuses is structurally zero here (see DESIGN.md). The fleet
-// is uniform, so "largest hibernated" degenerates to the lowest ID.
+// decides — WakeReuses is structurally zero here (see DESIGN.md). A wake
+// that fits nothing lands on the largest hibernated server.
 func (d *driver) wakeAssign(now time.Duration, vm *trace.VM, demand float64) {
-	var fitting []int
-	largest := -1
-	for id, on := range d.active {
-		if on {
-			continue
-		}
-		if largest < 0 {
-			largest = id
-		}
-		if demand <= d.fa.Ta*d.capMHz {
-			fitting = append(fitting, id)
-		}
-	}
-	wake := -1
-	switch {
-	case len(fitting) > 0:
-		wake = fitting[d.mgr.Intn(len(fitting))]
-	case largest >= 0:
-		wake = largest
-	}
-	if wake >= 0 {
+	if wake, _, ok := d.pickWake(demand, d.fa.Ta); ok {
 		d.stats.Wakes++
 		d.assign(now, vm, wake, true)
 		d.active[wake] = true
@@ -372,7 +343,7 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 		return
 	}
 	if mr.High {
-		if wake := d.pickWake(demand, ta); wake >= 0 {
+		if wake, fit, _ := d.pickWake(demand, ta); fit {
 			d.stats.Wakes++
 			d.send(d.cfg.Owner(wake), kindWake, wakeMsg{Server: wake, NowNS: int64(now)}, d.pcfg.AssignSize)
 			ack := <-d.wokenCh
@@ -387,19 +358,18 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 	d.stats.MigrationsAborted++
 }
 
-// pickWake selects a hibernated server that fits the demand under ta
-// (uniformly), or -1.
-func (d *driver) pickWake(demand, ta float64) int {
-	var fitting []int
+// pickWake is ecocloud.Wake over the mirror's hibernated servers, fitting
+// demand under ta.
+func (d *driver) pickWake(demand, ta float64) (wake int, fit, ok bool) {
+	var asleep []int
 	for id, on := range d.active {
-		if !on && demand <= ta*d.capMHz {
-			fitting = append(fitting, id)
+		if !on {
+			asleep = append(asleep, id)
 		}
 	}
-	if len(fitting) == 0 {
-		return -1
-	}
-	return fitting[d.mgr.Intn(len(fitting))]
+	return ecocloud.Wake(d.mgr, asleep,
+		func(id int) float64 { return d.fleet[id].CapacityMHz() },
+		func(id int) bool { return demand <= ta*d.fleet[id].CapacityMHz() })
 }
 
 // migrate runs the three-phase live migration: MIGRATE to the source shard,

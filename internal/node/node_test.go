@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,7 +125,11 @@ func TestClusterMatchesNetsim(t *testing.T) {
 	// remaining divergences (aggregated replies, accept-pick order, barrier
 	// wake bookkeeping) justify a tolerance band, not byte equality:
 	// placements are exact (every arrival lands exactly once in both), the
-	// self-organizing outcomes must agree within 2x.
+	// self-organizing outcomes must agree within 2x. The band does not
+	// cover a fleet mismatch, so both sides must run the same machines.
+	if got, want := cfg.Fleet(), experiments.ProtocolDayFleet(cfg.Servers); !slices.Equal(got, want) {
+		t.Fatalf("ecod fleet %v, netsim protocol day fleet %v", got, want)
+	}
 	churn := cfg.Churn()
 	pd, err := experiments.ProtocolDay(experiments.ProtocolDayOptions{
 		RunConfig: experiments.RunConfig{

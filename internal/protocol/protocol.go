@@ -623,19 +623,19 @@ func (c *Cluster) closeRound(r *round) {
 	r.decide(r)
 }
 
-// wakeAssign picks a hibernated server that fits the VM and sends it a
-// combined wake+assign ("the manager wakes up an inactive server and
-// requests it to run the new VM", §II). Servers with a wake already in
-// flight still report Hibernated, so they are tracked in pendingWakes and
-// never woken twice: a second placement deciding inside the delivery window
-// piggybacks on the in-flight wake if the reserved demand leaves room, and
-// only wakes a fresh server otherwise. With nothing to wake, the VM lands
+// wakeAssign picks a hibernated server that fits the VM (ecocloud.Wake
+// over the fresh servers) and sends it a combined wake+assign ("the
+// manager wakes up an inactive server and requests it to run the new VM",
+// §II). Servers with a wake already in flight still report Hibernated, so
+// they are tracked in pendingWakes and never woken twice: a second
+// placement deciding inside the delivery window piggybacks on the
+// in-flight wake if the reserved demand leaves room, and only wakes the
+// largest fresh server otherwise. With nothing to wake, the VM lands
 // on the least-utilized active server and a saturation event is recorded.
 func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	now := c.eng.Now()
 	demand := vm.DemandAt(now)
-	var fitting, reusable, pending []*dc.Server
-	var largest *dc.Server
+	var fresh, reusable, pending []*dc.Server
 	for _, s := range c.dc.Servers {
 		if s.State() != dc.Hibernated {
 			delete(c.pendingWakes, s.ID) // lazy cleanup of stale entries
@@ -648,25 +648,20 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 			}
 			continue
 		}
-		if largest == nil || s.CapacityMHz() > largest.CapacityMHz() {
-			largest = s
-		}
-		if demand <= c.fa.Ta*s.CapacityMHz() {
-			fitting = append(fitting, s)
-		}
+		fresh = append(fresh, s)
 	}
+	pick, fit, ok := ecocloud.Wake(c.mgr, fresh, (*dc.Server).CapacityMHz, fitsUnder(demand, c.fa.Ta))
 	var wake *dc.Server
-	fresh := false
 	switch {
-	case len(fitting) > 0:
+	case fit:
 		// A fresh server that fits under Ta.
-		wake, fresh = fitting[c.mgr.Intn(len(fitting))], true
+		wake = pick
 	case len(reusable) > 0:
 		// No fresh fit, but an in-flight wake has reserved room to spare.
 		wake = reusable[c.mgr.Intn(len(reusable))]
-	case largest != nil:
+	case ok:
 		// Nothing fits anywhere: the largest fresh server limits the damage.
-		wake, fresh = largest, true
+		wake = pick
 	case len(pending) > 0:
 		// Only pending wakes remain: overcommit one rather than piling onto
 		// an already-running server — the machine is coming up empty anyway.
@@ -682,7 +677,7 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 		}
 		pw.reserved += demand
 		pw.count++
-		if fresh {
+		if wake == pick { // a fresh server, not a pending one
 			c.Stats.Wakes++
 			c.cfg.Obs.Count("protocol.wakeups", 1)
 		} else {
@@ -909,7 +904,8 @@ func (c *Cluster) onMigReq(req migReq) {
 	start := now
 	noAcceptor := func() {
 		if req.kind == "high" {
-			if wake := c.pickWake(demand, ta); wake != nil {
+			// A server with a wake in flight is still a candidate here.
+			if wake, fit, _ := ecocloud.Wake(c.mgr, c.dc.HibernatedServers(), (*dc.Server).CapacityMHz, fitsUnder(demand, ta)); fit {
 				c.Stats.Wakes++
 				c.cfg.Obs.Count("protocol.wakeups", 1)
 				c.net.Send(netsim.Message{
@@ -947,19 +943,10 @@ func (c *Cluster) onMigReq(req migReq) {
 	}
 }
 
-// pickWake selects a hibernated server that fits the demand under ta
-// (uniformly), or nil.
-func (c *Cluster) pickWake(demand, ta float64) *dc.Server {
-	var fitting []*dc.Server
-	for _, s := range c.dc.Servers {
-		if s.State() == dc.Hibernated && demand <= ta*s.CapacityMHz() {
-			fitting = append(fitting, s)
-		}
-	}
-	if len(fitting) == 0 {
-		return nil
-	}
-	return fitting[c.mgr.Intn(len(fitting))]
+// fitsUnder reports whether a server can host demand under ta: the wake
+// pick's notion of fit.
+func fitsUnder(demand, ta float64) func(*dc.Server) bool {
+	return func(s *dc.Server) bool { return demand <= ta*s.CapacityMHz() }
 }
 
 // findVM returns the hosted VM with the given ID, or nil.

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # ecod smoke: a 3-node real-process cluster on loopback runs a short
 # protocol day twice from the same seed; the runs must converge (node 0
-# exits cleanly with a merged summary) and be bit-reproducible (the merged
-# CSVs diff clean). Per-node shard CSVs are left in $OUT/run{1,2} for CI to
-# upload as artifacts.
+# exits cleanly with a merged summary), be bit-reproducible (the merged
+# CSVs diff clean) and match the expected data rows checked in next to this
+# script. Per-node shard CSVs are left in $OUT/run{1,2} for CI to upload as
+# artifacts.
 #
 # Env: GO (go binary), OUT (work dir, default out-ecod), ECOD_PORT_BASE
 # (first of three consecutive loopback ports, default 7131).
@@ -12,6 +13,7 @@ set -eu
 GO=${GO:-go}
 OUT=${OUT:-out-ecod}
 BASE=${ECOD_PORT_BASE:-7131}
+EXPECTED=$(dirname "$0")/ecod_smoke_expected
 
 mkdir -p "$OUT"
 "$GO" build -o "$OUT/ecod" ./cmd/ecod
@@ -56,4 +58,11 @@ for n in 0 1 2; do
     diff "$OUT/run1/ecod_node$n.csv" "$OUT/run2/ecod_node$n.csv"
 done
 
-echo "ecod smoke: 3-node cluster converged and is bit-reproducible"
+# Absolute outputs: run1's data rows equal the checked-in ones. The "#"
+# notes are left out because they carry the config hash, which covers the
+# ports.
+for f in ecod ecod_node0 ecod_node1 ecod_node2; do
+    grep -v '^#' "$OUT/run1/$f.csv" | diff "$EXPECTED/$f.csv" -
+done
+
+echo "ecod smoke: 3-node cluster converged, is bit-reproducible and matches $EXPECTED"
