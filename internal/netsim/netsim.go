@@ -137,10 +137,8 @@ func New(eng *sim.Engine, lat LatencyModel, src *rng.Source) *Network {
 	return &Network{eng: eng, lat: lat, src: src, handlers: make(map[NodeID]Handler)}
 }
 
-// Stats returns the wire transmissions and bytes delivered so far. It makes
-// Network satisfy protocol.Transport so the invitation protocol can run
-// unchanged over this simulated fabric or over real sockets
-// (internal/node/tcptransport).
+// Stats returns the wire transmissions and bytes delivered so far; a
+// Broadcast fan-out counts as one transmission.
 func (n *Network) Stats() (sent int, bytes int64) { return n.sent, n.bytes }
 
 // Register installs the handler for a node. Re-registering replaces it.

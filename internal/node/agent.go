@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
-	"repro/internal/netsim"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -15,9 +14,9 @@ import (
 
 // agent is one shard of the fleet: the servers in this node's span, hosted
 // in a local policy-free dc.DataCenter, driven by a single event-loop
-// goroutine that consumes one channel per message kind (the distributePKI
-// node-loop shape). All decisions use the virtual timestamp carried by the
-// triggering message; the loop never reads a host clock.
+// goroutine that consumes one inbox of request payloads. All decisions use
+// the virtual timestamp carried by the triggering message; the loop never
+// reads a host clock.
 //
 // Server ID mapping: local index i in the shard's DataCenter is global ID
 // span.Lo+i. Per-server rng streams are split from the protocol master by
@@ -36,8 +35,7 @@ type agent struct {
 	srcs   []*rng.Source // per local server
 	pm     dc.PowerModel
 
-	tr    protocol.Transport
-	stats func() (int, int64) // transport counters, read at summary time
+	tr transport
 
 	// Energy integration: utilization only changes at message-borne events
 	// (VM demand is constant over a VM's life), so left-rectangle integration
@@ -48,19 +46,11 @@ type agent struct {
 	counters agentCounters
 	final    summaryMsg // set by onDone; the per-node CSV row
 
-	// One channel per message kind. The barrier discipline guarantees at
-	// most one kind has traffic in flight at any instant, so the select in
-	// run never has to arbitrate between ready channels.
-	inviteCh   chan inviteMsg
-	assignCh   chan assignMsg
-	removeCh   chan removeMsg
-	scanCh     chan scanMsg
-	wakeCh     chan wakeMsg
-	migrateCh  chan migrateMsg
-	transferCh chan transferMsg
-	cutoverCh  chan cutoverMsg
-	utilCh     chan utilQueryMsg
-	doneCh     chan doneMsg
+	// inbox carries every request payload in delivery order, fed by the
+	// transport's dispatch goroutine. Barriers keep at most one request
+	// and its duplicated TRANSFERs queued; the buffer is headroom so
+	// dispatch, which node 0 shares with the driver, rarely waits.
+	inbox chan any
 }
 
 // agentCounters are the per-node totals reported in the summary and the
@@ -75,7 +65,7 @@ type agentCounters struct {
 }
 
 // newAgent builds the shard for cfg.Nodes[nodeID] over transport tr.
-func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transport, stats func() (int, int64)) (*agent, error) {
+func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr transport) (*agent, error) {
 	pcfg := cfg.Proto()
 	fa, err := ecocloud.NewAssignProb(pcfg.Ta, pcfg.P)
 	if err != nil {
@@ -94,18 +84,7 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 		srcs:   make([]*rng.Source, span.Size()),
 		pm:     dc.DefaultPowerModel(),
 		tr:     tr,
-		stats:  stats,
-
-		inviteCh:   make(chan inviteMsg, 4),
-		assignCh:   make(chan assignMsg, 4),
-		removeCh:   make(chan removeMsg, 4),
-		scanCh:     make(chan scanMsg, 4),
-		wakeCh:     make(chan wakeMsg, 4),
-		migrateCh:  make(chan migrateMsg, 4),
-		transferCh: make(chan transferMsg, 4),
-		cutoverCh:  make(chan cutoverMsg, 4),
-		utilCh:     make(chan utilQueryMsg, 4),
-		doneCh:     make(chan doneMsg, 1),
+		inbox:  make(chan any, 16),
 	}
 	for _, vm := range ws.VMs {
 		a.vmByID[vm.ID] = vm
@@ -119,59 +98,30 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 	return a, nil
 }
 
-// handle demuxes one delivered message into its kind's channel. It runs on
-// the transport's dispatch goroutine; the loop goroutine consumes.
-func (a *agent) handle(msg netsim.Message) {
-	switch p := msg.Payload.(type) {
-	case inviteMsg:
-		a.inviteCh <- p
-	case assignMsg:
-		a.assignCh <- p
-	case removeMsg:
-		a.removeCh <- p
-	case scanMsg:
-		a.scanCh <- p
-	case wakeMsg:
-		a.wakeCh <- p
-	case migrateMsg:
-		a.migrateCh <- p
-	case transferMsg:
-		a.transferCh <- p
-	case cutoverMsg:
-		a.cutoverCh <- p
-	case utilQueryMsg:
-		a.utilCh <- p
-	case doneMsg:
-		a.doneCh <- p
-	default:
-		// A peer speaking a kind we route but never expect at an agent
-		// (driver-bound acks): drop rather than crash on a confused peer.
-	}
-}
-
 // run is the event loop. It exits after the done message's summary is sent.
+// A driver-bound ack from a confused peer matches no case and is dropped.
 func (a *agent) run() {
 	for {
-		select {
-		case m := <-a.inviteCh:
+		switch m := (<-a.inbox).(type) {
+		case inviteMsg:
 			a.onInvite(m)
-		case m := <-a.assignCh:
+		case assignMsg:
 			a.onAssign(m)
-		case m := <-a.removeCh:
+		case removeMsg:
 			a.onRemove(m)
-		case m := <-a.scanCh:
+		case scanMsg:
 			a.onScan(m)
-		case m := <-a.wakeCh:
+		case wakeMsg:
 			a.onWake(m)
-		case m := <-a.migrateCh:
+		case migrateMsg:
 			a.onMigrate(m)
-		case m := <-a.transferCh:
+		case transferMsg:
 			a.onTransfer(m)
-		case m := <-a.cutoverCh:
+		case cutoverMsg:
 			a.onCutover(m)
-		case m := <-a.utilCh:
+		case utilQueryMsg:
 			a.onUtilQuery(m)
-		case m := <-a.doneCh:
+		case doneMsg:
 			a.onDone(m)
 			return
 		}
@@ -180,11 +130,11 @@ func (a *agent) run() {
 
 // server returns the local server for a global ID, panicking on a foreign
 // ID: the driver routing a server to the wrong shard is a protocol bug.
-func (a *agent) server(globalID int) *dc.Server {
-	if !a.span.Contains(globalID) {
+func (a *agent) server(globalID int32) *dc.Server {
+	if !a.span.Contains(int(globalID)) {
 		panic(fmt.Sprintf("node %d: server %d outside span %d:%d", a.node, globalID, a.span.Lo, a.span.Hi))
 	}
-	return a.dcen.Servers[globalID-a.span.Lo]
+	return a.dcen.Servers[int(globalID)-a.span.Lo]
 }
 
 // integrate advances the energy account to virtual time now.
@@ -196,11 +146,8 @@ func (a *agent) integrate(now time.Duration) {
 }
 
 // send is a shorthand for a driver-bound or peer-bound message.
-func (a *agent) send(to int, kind string, payload any, size int) {
-	a.tr.Send(netsim.Message{
-		From: netsim.NodeID(a.node), To: netsim.NodeID(to),
-		Kind: kind, Payload: payload, Size: size,
-	})
+func (a *agent) send(to int, payload any, size int) {
+	a.tr.Send(message(a.node, to, payload, size))
 }
 
 const driverNode = 0
@@ -214,7 +161,7 @@ func (a *agent) onInvite(m inviteMsg) {
 	var accepts []int32
 	for i, s := range a.dcen.Servers {
 		globalID := a.span.Lo + i
-		if globalID == m.Exclude || s.State() != dc.Active {
+		if globalID == int(m.Exclude) || s.State() != dc.Active {
 			continue
 		}
 		// The same kernel call as the netsim cluster's servers make.
@@ -223,7 +170,7 @@ func (a *agent) onInvite(m inviteMsg) {
 			accepts = append(accepts, int32(globalID))
 		}
 	}
-	a.send(driverNode, kindReply, replyMsg{Round: m.Round, Node: a.node, Accepts: accepts}, a.pcfg.ReplySize)
+	a.send(driverNode, replyMsg{Round: m.Round, Node: int32(a.node), Accepts: accepts}, a.pcfg.ReplySize)
 }
 
 // onAssign places a VM on the driver-chosen server, waking it first when
@@ -233,7 +180,7 @@ func (a *agent) onAssign(m assignMsg) {
 	a.integrate(now)
 	s := a.server(m.Server)
 	activated := false
-	if host, ok := a.dcen.HostOf(m.VMID); !ok || host != s {
+	if host, ok := a.dcen.HostOf(int(m.VMID)); !ok || host != s {
 		if ok {
 			panic(fmt.Sprintf("node %d: assign of VM %d to server %d but hosted on %d",
 				a.node, m.VMID, m.Server, host.ID+a.span.Lo))
@@ -248,7 +195,7 @@ func (a *agent) onAssign(m assignMsg) {
 			a.counters.Activations++
 			activated = true
 		}
-		vm := a.vmByID[m.VMID]
+		vm := a.vmByID[int(m.VMID)]
 		if vm == nil {
 			panic(fmt.Sprintf("node %d: assign of unknown VM %d", a.node, m.VMID))
 		}
@@ -257,7 +204,7 @@ func (a *agent) onAssign(m assignMsg) {
 		}
 		a.counters.Placements++
 	}
-	a.send(driverNode, kindAssigned, assignedMsg{VMID: m.VMID, Server: m.Server, Activated: activated}, a.pcfg.ReplySize)
+	a.send(driverNode, assignedMsg{VMID: m.VMID, Server: m.Server, Activated: activated}, a.pcfg.ReplySize)
 }
 
 // onRemove handles a departure. A VM the shard no longer hosts is acked
@@ -265,13 +212,13 @@ func (a *agent) onAssign(m assignMsg) {
 func (a *agent) onRemove(m removeMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
-	if _, ok := a.dcen.HostOf(m.VMID); ok {
-		if _, err := a.dcen.Remove(m.VMID); err != nil {
+	if _, ok := a.dcen.HostOf(int(m.VMID)); ok {
+		if _, err := a.dcen.Remove(int(m.VMID)); err != nil {
 			panic(fmt.Sprintf("node %d: removing VM %d: %v", a.node, m.VMID, err))
 		}
 		a.counters.Removals++
 	}
-	a.send(driverNode, kindRemoved, removedMsg{VMID: m.VMID}, a.pcfg.ReplySize)
+	a.send(driverNode, removedMsg{VMID: m.VMID}, a.pcfg.ReplySize)
 }
 
 // onScan is the local monitoring tick (§II): hibernate servers drained
@@ -280,7 +227,7 @@ func (a *agent) onRemove(m removeMsg) {
 func (a *agent) onScan(m scanMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
-	out := scandoneMsg{Node: a.node}
+	out := scandoneMsg{Node: int32(a.node)}
 	for i, s := range a.dcen.Servers {
 		if s.State() != dc.Active {
 			continue
@@ -307,7 +254,7 @@ func (a *agent) onScan(m scanMsg) {
 			})
 		}
 	}
-	a.send(driverNode, kindScandone, out, a.pcfg.ReplySize)
+	a.send(driverNode, out, a.pcfg.ReplySize)
 }
 
 // onWake activates a hibernated server ahead of an incoming migration.
@@ -321,7 +268,7 @@ func (a *agent) onWake(m wakeMsg) {
 		}
 		a.counters.Activations++
 	}
-	a.send(driverNode, kindWoken, wokenMsg{Server: m.Server}, a.pcfg.ReplySize)
+	a.send(driverNode, wokenMsg{Server: m.Server}, a.pcfg.ReplySize)
 }
 
 // onMigrate is the source side of a live migration: ship the VM's identity
@@ -331,12 +278,12 @@ func (a *agent) onWake(m wakeMsg) {
 func (a *agent) onMigrate(m migrateMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
-	if _, ok := a.dcen.HostOf(m.VMID); !ok {
+	if _, ok := a.dcen.HostOf(int(m.VMID)); !ok {
 		// Departed or already moved: nothing to transfer; tell the driver.
-		a.send(driverNode, kindMigrated, migratedMsg{VMID: m.VMID, Server: m.DestServer}, a.pcfg.ReplySize)
+		a.send(driverNode, migratedMsg{VMID: m.VMID, Server: m.DestServer}, a.pcfg.ReplySize)
 		return
 	}
-	a.send(m.DestNode, kindTransfer,
+	a.send(int(m.DestNode),
 		transferMsg{VMID: m.VMID, DestServer: m.DestServer, High: m.High, NowNS: m.NowNS},
 		a.pcfg.TransferBytes)
 }
@@ -352,7 +299,7 @@ func (a *agent) onTransfer(m transferMsg) {
 	a.integrate(now)
 	s := a.server(m.DestServer)
 	activated := false
-	if host, ok := a.dcen.HostOf(m.VMID); !ok || host != s {
+	if host, ok := a.dcen.HostOf(int(m.VMID)); !ok || host != s {
 		if s.State() == dc.Hibernated {
 			if err := a.dcen.Activate(s, now); err != nil {
 				panic(fmt.Sprintf("node %d: transfer wake of server %d: %v", a.node, m.DestServer, err))
@@ -362,14 +309,14 @@ func (a *agent) onTransfer(m transferMsg) {
 		}
 		if ok {
 			// Intra-shard migration: source and destination share this dc.
-			if err := a.dcen.Migrate(m.VMID, s); err != nil {
+			if err := a.dcen.Migrate(int(m.VMID), s); err != nil {
 				panic(fmt.Sprintf("node %d: intra-shard migration of VM %d to %d: %v",
 					a.node, m.VMID, m.DestServer, err))
 			}
 			a.counters.MigrationsIn++
 			a.counters.MigrationsOut++
 		} else {
-			vm := a.vmByID[m.VMID]
+			vm := a.vmByID[int(m.VMID)]
 			if vm == nil {
 				panic(fmt.Sprintf("node %d: transfer of unknown VM %d", a.node, m.VMID))
 			}
@@ -379,7 +326,7 @@ func (a *agent) onTransfer(m transferMsg) {
 			a.counters.MigrationsIn++
 		}
 	}
-	a.send(driverNode, kindMigrated,
+	a.send(driverNode,
 		migratedMsg{VMID: m.VMID, Server: m.DestServer, OK: true, Activated: activated}, a.pcfg.ReplySize)
 }
 
@@ -391,13 +338,13 @@ func (a *agent) onTransfer(m transferMsg) {
 func (a *agent) onCutover(m cutoverMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
-	if host, ok := a.dcen.HostOf(m.VMID); ok && host.ID+a.span.Lo == m.SrcServer {
-		if _, err := a.dcen.Remove(m.VMID); err != nil {
+	if host, ok := a.dcen.HostOf(int(m.VMID)); ok && host.ID+a.span.Lo == int(m.SrcServer) {
+		if _, err := a.dcen.Remove(int(m.VMID)); err != nil {
 			panic(fmt.Sprintf("node %d: cutover of VM %d: %v", a.node, m.VMID, err))
 		}
 		a.counters.MigrationsOut++
 	}
-	a.send(driverNode, kindRemoved, removedMsg{VMID: m.VMID}, a.pcfg.ReplySize)
+	a.send(driverNode, removedMsg{VMID: m.VMID}, a.pcfg.ReplySize)
 }
 
 // onUtilQuery reports the least-utilized local active server (ties keep the
@@ -405,11 +352,11 @@ func (a *agent) onCutover(m cutoverMsg) {
 func (a *agent) onUtilQuery(m utilQueryMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
-	out := utilBestMsg{Node: a.node}
+	out := utilBestMsg{Node: int32(a.node)}
 	if s, u := a.dcen.LeastUtilizedAt(now); s != nil {
-		out = utilBestMsg{Node: a.node, Has: true, Server: a.span.Lo + s.ID, U: u}
+		out = utilBestMsg{Node: int32(a.node), Has: true, Server: int32(a.span.Lo + s.ID), U: u}
 	}
-	a.send(driverNode, kindUtilBest, out, a.pcfg.ReplySize)
+	a.send(driverNode, out, a.pcfg.ReplySize)
 }
 
 // onDone closes the energy account at the horizon, checks the shard's
@@ -420,9 +367,9 @@ func (a *agent) onDone(m doneMsg) {
 	if err := a.dcen.CheckInvariants(); err != nil {
 		panic(fmt.Sprintf("node %d: shard left inconsistent: %v", a.node, err))
 	}
-	sent, bytes := a.stats()
+	sent, bytes := a.tr.Stats()
 	a.final = summaryMsg{
-		Node:          a.node,
+		Node:          int32(a.node),
 		Placements:    a.counters.Placements,
 		Removals:      a.counters.Removals,
 		MigrationsIn:  a.counters.MigrationsIn,
@@ -434,5 +381,5 @@ func (a *agent) onDone(m doneMsg) {
 		MsgsSent:      int64(sent),
 		BytesSent:     bytes,
 	}
-	a.send(driverNode, kindSummary, a.final, a.pcfg.ReplySize)
+	a.send(driverNode, a.final, a.pcfg.ReplySize)
 }

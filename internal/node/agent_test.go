@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// sendRecorder is a Transport that keeps every sent message.
+// sendRecorder is a transport that keeps every sent message.
 type sendRecorder struct{ sent []netsim.Message }
 
 func (r *sendRecorder) Register(netsim.NodeID, netsim.Handler) {}
@@ -26,7 +26,7 @@ func TestInviteWithInvalidTaIsRejected(t *testing.T) {
 	cfg.Servers = 2
 	cfg.Nodes = []NodeSpec{{ID: 0, Span: Span{0, 0}}, {ID: 1, Span: Span{0, 2}}}
 	tr := &sendRecorder{}
-	a, err := newAgent(&cfg, 1, &trace.Set{}, tr, tr.Stats)
+	a, err := newAgent(&cfg, 1, &trace.Set{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestInviteWithInvalidTaIsRejected(t *testing.T) {
 	}
 	for i, ta := range []float64{math.NaN(), math.Inf(1), 0.9} {
 		tr.sent = nil
-		a.onInvite(inviteMsg{Round: i, Demand: 1e6, Ta: ta, Exclude: -1, NowNS: int64(now)})
+		a.onInvite(inviteMsg{Round: int32(i), Demand: 1e6, Ta: ta, Exclude: -1, NowNS: int64(now)})
 		if len(tr.sent) != 1 {
 			t.Fatalf("Ta=%v: %d messages sent, want one reply", ta, len(tr.sent))
 		}

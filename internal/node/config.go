@@ -1,8 +1,9 @@
 // Package node runs the ecoCloud protocol as real operating-system
-// processes: each ecod process hosts one shard of the server fleet behind a
-// channel-per-message-kind event loop, node 0 additionally drives the
-// workload, and every exchange crosses the tcptransport TCP mesh instead of
-// the simulated netsim fabric.
+// processes: each ecod process hosts one shard of the server fleet behind
+// an event loop over one inbox, node 0 additionally drives the workload from
+// a second inbox of acks, and every exchange crosses the tcptransport TCP
+// mesh instead of the simulated netsim fabric. Each message kind is one row
+// of the table in messages.go.
 //
 // Virtual time stays the only clock that matters. The driver sequences
 // arrivals, departures and migration-scan ticks on a sim.Engine exactly like

@@ -31,7 +31,7 @@ type driver struct {
 	cfg  *ClusterConfig
 	pcfg protocol.Config
 	eng  *sim.Engine
-	tr   protocol.Transport
+	tr   transport
 	mgr  *rng.Source
 	fa   ecocloud.AssignProbFunc
 	ws   *trace.Set
@@ -49,21 +49,17 @@ type driver struct {
 	// stats counts the manager-side outcomes; the fields that only netsim
 	// fault paths and latency bookkeeping reach stay zero.
 	stats     protocol.Stats
-	nextRound int
+	nextRound int32
 
-	replyCh    chan replyMsg
-	assignedCh chan assignedMsg
-	removedCh  chan removedMsg
-	scandoneCh chan scandoneMsg
-	wokenCh    chan wokenMsg
-	migratedCh chan migratedMsg
-	utilCh     chan utilBestMsg
-	summaryCh  chan summaryMsg
+	// inbox carries every agent ack payload, fed by the transport's
+	// dispatch goroutine; await is its only reader. It holds a gather's
+	// one ack per node plus stale duplicated MIGRATED acks.
+	inbox chan any
 }
 
 const migWatchdog = 2 * time.Second
 
-func newDriver(cfg *ClusterConfig, ws *trace.Set, tr protocol.Transport) (*driver, error) {
+func newDriver(cfg *ClusterConfig, ws *trace.Set, tr transport) (*driver, error) {
 	pcfg := cfg.Proto()
 	fa, err := ecocloud.NewAssignProb(pcfg.Ta, pcfg.P)
 	if err != nil {
@@ -82,15 +78,7 @@ func newDriver(cfg *ClusterConfig, ws *trace.Set, tr protocol.Transport) (*drive
 		active: make([]bool, cfg.Servers),
 		loc:    make(map[int]int),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
-
-		replyCh:    make(chan replyMsg, len(cfg.Nodes)),
-		assignedCh: make(chan assignedMsg, 4),
-		removedCh:  make(chan removedMsg, 4),
-		scandoneCh: make(chan scandoneMsg, len(cfg.Nodes)),
-		wokenCh:    make(chan wokenMsg, 4),
-		migratedCh: make(chan migratedMsg, 8),
-		utilCh:     make(chan utilBestMsg, len(cfg.Nodes)),
-		summaryCh:  make(chan summaryMsg, len(cfg.Nodes)),
+		inbox:  make(chan any, len(cfg.Nodes)+8),
 	}
 	if cfg.Impairments().Enabled() {
 		d.watchdog = migWatchdog
@@ -101,30 +89,51 @@ func newDriver(cfg *ClusterConfig, ws *trace.Set, tr protocol.Transport) (*drive
 	return d, nil
 }
 
-// handle demuxes an agent ack into its barrier channel. It runs on the
-// transport dispatch goroutine; the engine goroutine consumes.
-func (d *driver) handle(msg netsim.Message) bool {
-	switch p := msg.Payload.(type) {
-	case replyMsg:
-		d.replyCh <- p
-	case assignedMsg:
-		d.assignedCh <- p
-	case removedMsg:
-		d.removedCh <- p
-	case scandoneMsg:
-		d.scandoneCh <- p
-	case wokenMsg:
-		d.wokenCh <- p
-	case migratedMsg:
-		d.migratedCh <- p
-	case utilBestMsg:
-		d.utilCh <- p
-	case summaryMsg:
-		d.summaryCh <- p
-	default:
-		return false
+// await blocks for the next ack of type T that keep accepts (nil keeps
+// any). It is the driver's one receive on agent acks: every barrier waits
+// here. A MIGRATED ack that nobody awaits is a stale duplicate (-impair dup
+// re-acks a duplicated TRANSFER) and is dropped; any other unexpected ack
+// is a protocol violation. A MIGRATED wait is bounded by the watchdog when
+// impairments are on: a dropped TRANSFER produces no ack at all, and there
+// is no virtual clock to hang a timeout on — the sockets are the only place
+// real time legitimately exists in this system. ok is false on expiry.
+func await[T any](d *driver, keep func(T) bool) (ack T, ok bool) {
+	var expired <-chan time.Time
+	if _, mig := any(ack).(migratedMsg); mig && d.watchdog > 0 {
+		//ecolint:allow wallclock — bounds the wait for an ack whose TRANSFER may have been dropped by -impair; virtual time cannot advance while the barrier is open
+		timer := time.NewTimer(d.watchdog)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	return true
+	for {
+		select {
+		case p := <-d.inbox:
+			if m, match := p.(T); match && (keep == nil || keep(m)) {
+				return m, true
+			}
+			discardStale(p)
+		case <-expired:
+			return ack, false
+		}
+	}
+}
+
+// discardStale drops a stale duplicated MIGRATED ack and panics on any
+// other ack that arrives unawaited.
+func discardStale(p any) {
+	if _, stale := p.(migratedMsg); !stale {
+		panic(fmt.Sprintf("node: unawaited %T ack", p))
+	}
+}
+
+// gather awaits one ack of type T from every node, in node order.
+func gather[T interface{ sender() int32 }](d *driver) []T {
+	acks := make([]T, d.n)
+	for range d.n {
+		m, _ := await[T](d, nil)
+		acks[m.sender()] = m
+	}
+	return acks
 }
 
 // run schedules the churn workload, drives the horizon, then collects every
@@ -140,31 +149,23 @@ func (d *driver) run() []summaryMsg {
 	d.eng.Every(d.pcfg.ScanInterval, d.pcfg.ScanInterval, "migration-scan", func(*sim.Engine) { d.scanTick() })
 	d.eng.Run(d.cfg.Horizon)
 
-	d.broadcast(kindDone, doneMsg{HorizonNS: int64(d.cfg.Horizon)}, d.pcfg.InviteSize)
-	sums := make([]summaryMsg, d.n)
-	for i := 0; i < d.n; i++ {
-		s := <-d.summaryCh
-		sums[s.Node] = s
-	}
-	return sums
+	d.broadcast(doneMsg{HorizonNS: int64(d.cfg.Horizon)}, d.pcfg.InviteSize)
+	return gather[summaryMsg](d)
 }
 
-func (d *driver) send(to int, kind string, payload any, size int) {
-	d.tr.Send(netsim.Message{
-		From: netsim.NodeID(driverNode), To: netsim.NodeID(to),
-		Kind: kind, Payload: payload, Size: size,
-	})
+func (d *driver) send(to int, payload any, size int) {
+	d.tr.Send(message(driverNode, to, payload, size))
 }
 
 // broadcast sends one frame per node, node 0 (loopback) last. Node 0's
 // agent shares this transport and reads its counters when the done frame
 // arrives, so every other frame of the broadcast must be counted by then.
-func (d *driver) broadcast(kind string, payload any, size int) {
+func (d *driver) broadcast(payload any, size int) {
 	tos := make([]netsim.NodeID, d.n)
 	for i := range tos {
 		tos[i] = netsim.NodeID((i + 1) % d.n)
 	}
-	d.tr.Broadcast(netsim.NodeID(driverNode), tos, kind, payload, size)
+	d.tr.Broadcast(netsim.NodeID(driverNode), tos, kindOf(payload), payload, size)
 }
 
 // activeCount counts mirror-active servers, optionally excluding one.
@@ -189,20 +190,14 @@ func (d *driver) round(now time.Duration, ta, demand float64, exclude int) []int
 		return nil
 	}
 	d.nextRound++
-	d.broadcast(kindInvite,
-		inviteMsg{Round: d.nextRound, Demand: demand, Ta: ta, Exclude: exclude, NowNS: int64(now)},
+	d.broadcast(inviteMsg{Round: d.nextRound, Demand: demand, Ta: ta, Exclude: int32(exclude), NowNS: int64(now)},
 		d.pcfg.InviteSize)
-	byNode := make([][]int32, d.n)
-	for i := 0; i < d.n; i++ {
-		r := <-d.replyCh
+	var accepts []int
+	for _, r := range gather[replyMsg](d) {
 		if r.Round != d.nextRound {
 			panic(fmt.Sprintf("node: reply for round %d during round %d", r.Round, d.nextRound))
 		}
-		byNode[r.Node] = r.Accepts
-	}
-	var accepts []int
-	for _, ids := range byNode {
-		for _, id := range ids {
+		for _, id := range r.Accepts {
 			accepts = append(accepts, int(id))
 		}
 	}
@@ -224,10 +219,10 @@ func (d *driver) placeVM(vm *trace.VM) {
 // assign lands vm on the chosen server (waking it when ordered) and blocks
 // on the shard's ack before updating the mirror and the location map.
 func (d *driver) assign(now time.Duration, vm *trace.VM, server int, wake bool) {
-	d.send(d.cfg.Owner(server), kindAssign,
-		assignMsg{VMID: vm.ID, Server: server, Wake: wake, NowNS: int64(now)}, d.pcfg.AssignSize)
-	ack := <-d.assignedCh
-	if ack.VMID != vm.ID || ack.Server != server {
+	d.send(d.cfg.Owner(server),
+		assignMsg{VMID: int32(vm.ID), Server: int32(server), Wake: wake, NowNS: int64(now)}, d.pcfg.AssignSize)
+	ack, _ := await[assignedMsg](d, nil)
+	if int(ack.VMID) != vm.ID || int(ack.Server) != server {
 		panic(fmt.Sprintf("node: assigned ack for VM %d on %d, want VM %d on %d",
 			ack.VMID, ack.Server, vm.ID, server))
 	}
@@ -265,10 +260,9 @@ func (d *driver) wakeAssign(now time.Duration, vm *trace.VM, demand float64) {
 // and picks the global minimum (ties to the lowest ID, the netsim manager's
 // scan order).
 func (d *driver) leastUtilizedActive(now time.Duration) int {
-	d.broadcast(kindUtilQuery, utilQueryMsg{NowNS: int64(now)}, d.pcfg.InviteSize)
+	d.broadcast(utilQueryMsg{NowNS: int64(now)}, d.pcfg.InviteSize)
 	best := utilBestMsg{Server: -1}
-	for i := 0; i < d.n; i++ {
-		m := <-d.utilCh
+	for _, m := range gather[utilBestMsg](d) {
 		if !m.Has {
 			continue
 		}
@@ -276,7 +270,7 @@ func (d *driver) leastUtilizedActive(now time.Duration) int {
 			best = m
 		}
 	}
-	return best.Server
+	return int(best.Server)
 }
 
 // removeVM runs one departure through the owning shard.
@@ -286,15 +280,14 @@ func (d *driver) removeVM(vmID int) {
 		return
 	}
 	now := d.eng.Now()
-	d.send(d.cfg.Owner(server), kindRemove, removeMsg{VMID: vmID, NowNS: int64(now)}, d.pcfg.AssignSize)
+	d.send(d.cfg.Owner(server), removeMsg{VMID: int32(vmID), NowNS: int64(now)}, d.pcfg.AssignSize)
 	d.awaitRemoved(vmID)
 	delete(d.loc, vmID)
 }
 
 // awaitRemoved blocks on the removed ack for vmID.
 func (d *driver) awaitRemoved(vmID int) {
-	ack := <-d.removedCh
-	if ack.VMID != vmID {
+	if ack, _ := await[removedMsg](d, nil); int(ack.VMID) != vmID {
 		panic(fmt.Sprintf("node: removed ack for VM %d, want %d", ack.VMID, vmID))
 	}
 }
@@ -306,12 +299,8 @@ func (d *driver) awaitRemoved(vmID int) {
 // its scan walks servers by ID.
 func (d *driver) scanTick() {
 	now := d.eng.Now()
-	d.broadcast(kindScan, scanMsg{NowNS: int64(now)}, d.pcfg.InviteSize)
-	byNode := make([]scandoneMsg, d.n)
-	for i := 0; i < d.n; i++ {
-		m := <-d.scandoneCh
-		byNode[m.Node] = m
-	}
+	d.broadcast(scanMsg{NowNS: int64(now)}, d.pcfg.InviteSize)
+	byNode := gather[scandoneMsg](d)
 	for _, m := range byNode {
 		for _, id := range m.Hibernated {
 			d.active[id] = false
@@ -345,9 +334,8 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 	if mr.High {
 		if wake, fit, _ := d.pickWake(demand, ta); fit {
 			d.stats.Wakes++
-			d.send(d.cfg.Owner(wake), kindWake, wakeMsg{Server: wake, NowNS: int64(now)}, d.pcfg.AssignSize)
-			ack := <-d.wokenCh
-			if ack.Server != wake {
+			d.send(d.cfg.Owner(wake), wakeMsg{Server: int32(wake), NowNS: int64(now)}, d.pcfg.AssignSize)
+			if ack, _ := await[wokenMsg](d, nil); int(ack.Server) != wake {
 				panic(fmt.Sprintf("node: woken ack for server %d, want %d", ack.Server, wake))
 			}
 			d.active[wake] = true
@@ -382,19 +370,15 @@ func (d *driver) migrate(now time.Duration, vmID, src, dest int, high bool) {
 	// Retire stale duplicated MIGRATED acks (the -impair dup path) before
 	// opening a new barrier: a dup frame is written back-to-back with its
 	// original, so its ack is long since queued by the time the next
-	// migration starts.
-	for {
-		select {
-		case <-d.migratedCh:
-			continue
-		default:
-		}
-		break
+	// migration starts. Only this goroutine receives, so a non-empty inbox
+	// never blocks the drain.
+	for len(d.inbox) > 0 {
+		discardStale(<-d.inbox)
 	}
-	d.send(d.cfg.Owner(src), kindMigrate,
-		migrateMsg{VMID: vmID, DestNode: d.cfg.Owner(dest), DestServer: dest, High: high, NowNS: int64(now)},
+	d.send(d.cfg.Owner(src),
+		migrateMsg{VMID: int32(vmID), DestNode: int32(d.cfg.Owner(dest)), DestServer: int32(dest), High: high, NowNS: int64(now)},
 		d.pcfg.AssignSize)
-	ack, ok := d.awaitMigrated(vmID)
+	ack, ok := await(d, func(m migratedMsg) bool { return int(m.VMID) == vmID })
 	if !ok {
 		d.stats.MigrationsExpired++
 		return
@@ -406,41 +390,12 @@ func (d *driver) migrate(now time.Duration, vmID, src, dest int, high bool) {
 	if ack.Activated {
 		d.active[dest] = true
 	}
-	d.send(d.cfg.Owner(src), kindCutover, cutoverMsg{VMID: vmID, SrcServer: src, NowNS: int64(now)}, d.pcfg.AssignSize)
+	d.send(d.cfg.Owner(src), cutoverMsg{VMID: int32(vmID), SrcServer: int32(src), NowNS: int64(now)}, d.pcfg.AssignSize)
 	d.awaitRemoved(vmID)
 	d.loc[vmID] = dest
 	if high {
 		d.stats.MigrationsHigh++
 	} else {
 		d.stats.MigrationsLow++
-	}
-}
-
-// awaitMigrated blocks for the MIGRATED ack carrying vmID, discarding acks
-// for other VMs (stale duplicates). With impairments enabled the wait is
-// bounded by the real-time watchdog: a dropped TRANSFER produces no ack at
-// all, and there is no virtual clock to hang a timeout on — the sockets are
-// the only place real time legitimately exists in this system.
-func (d *driver) awaitMigrated(vmID int) (migratedMsg, bool) {
-	if d.watchdog <= 0 {
-		for {
-			m := <-d.migratedCh
-			if m.VMID == vmID {
-				return m, true
-			}
-		}
-	}
-	//ecolint:allow wallclock — bounds the wait for an ack whose TRANSFER may have been dropped by -impair; virtual time cannot advance while the barrier is open
-	timer := time.NewTimer(d.watchdog)
-	defer timer.Stop()
-	for {
-		select {
-		case m := <-d.migratedCh:
-			if m.VMID == vmID {
-				return m, true
-			}
-		case <-timer.C:
-			return migratedMsg{}, false
-		}
 	}
 }

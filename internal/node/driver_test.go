@@ -10,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-// assignAcker is a Transport that answers every assign the way a shard
+// assignAcker is a transport that answers every assign the way a shard
 // does, so the driver's barrier completes without agents.
 type assignAcker struct {
 	sendRecorder
@@ -20,7 +20,7 @@ type assignAcker struct {
 func (a *assignAcker) Send(m netsim.Message) {
 	a.sendRecorder.Send(m)
 	if p, ok := m.Payload.(assignMsg); ok {
-		a.d.assignedCh <- assignedMsg{VMID: p.VMID, Server: p.Server, Activated: p.Wake}
+		a.d.inbox <- assignedMsg{VMID: p.VMID, Server: p.Server, Activated: p.Wake}
 	}
 }
 

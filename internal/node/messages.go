@@ -1,12 +1,19 @@
 package node
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/node/tcptransport"
 )
 
-// The ecod wire protocol. Two disjoint kind families share the mesh:
+// The ecod wire protocol: one row per message kind in the messages table,
+// giving its kind string, its payload struct and whether it is a
+// driver-bound ack. Everything else is derived from the table: the codec
+// lays each payload out from its field types (tcptransport's generic
+// path), senders pass only a payload and kindOf names it, and node 0
+// routes acks to the driver's inbox and everything else to its agent's.
 //
 //	driver -> agents   invite, assign, remove, scan, wake, migrate, cutover, done
 //	agent  -> agent    transfer (the live migration, source shard to dest shard)
@@ -20,180 +27,120 @@ import (
 // decisions. All decision-relevant time is the virtual NowNS stamped on the
 // message; nothing reads a host clock.
 //
+// Field types are wire widths: IDs and counters that fit travel as int32,
+// times as int64 nanoseconds, flags as one-byte bools.
+//
 // Sizes: control messages reuse the protocol.Config sizes; TRANSFER
 // declares the VM's RAM bytes as its logical size (counted by Stats,
 // not shipped) exactly like the netsim experiment.
-const (
-	kindInvite    = "invite"
-	kindReply     = "reply"
-	kindAssign    = "assign"
-	kindAssigned  = "assigned"
-	kindRemove    = "remove"
-	kindRemoved   = "removed"
-	kindScan      = "scan"
-	kindScandone  = "scandone"
-	kindWake      = "wake"
-	kindWoken     = "woken"
-	kindMigrate   = "migrate"
-	kindTransfer  = "transfer"
-	kindCutover   = "cutover"
-	kindMigrated  = "migrated"
-	kindUtilQuery = "utilquery"
-	kindUtilBest  = "utilbest"
-	kindDone      = "done"
-	kindSummary   = "summary"
-)
+var messages = []struct {
+	kind    string
+	payload any
+	ack     bool
+}{
+	{"invite", inviteMsg{}, false},
+	{"reply", replyMsg{}, true},
+	{"assign", assignMsg{}, false},
+	{"assigned", assignedMsg{}, true},
+	{"remove", removeMsg{}, false},
+	{"removed", removedMsg{}, true},
+	{"scan", scanMsg{}, false},
+	{"scandone", scandoneMsg{}, true},
+	{"wake", wakeMsg{}, false},
+	{"woken", wokenMsg{}, true},
+	{"migrate", migrateMsg{}, false},
+	{"transfer", transferMsg{}, false},
+	{"cutover", cutoverMsg{}, false},
+	{"migrated", migratedMsg{}, true},
+	{"utilquery", utilQueryMsg{}, false},
+	{"utilbest", utilBestMsg{}, true},
+	{"done", doneMsg{}, false},
+	{"summary", summaryMsg{}, true},
+}
+
+// codec is the wire codec over the messages table.
+var codec = func() *tcptransport.Codec {
+	c := tcptransport.NewCodec()
+	for _, m := range messages {
+		c.Register(m.kind, m.payload)
+	}
+	return c
+}()
+
+// kindOf names a payload's kind. A payload outside the table is a
+// programming error.
+func kindOf(payload any) string {
+	kind, ok := codec.Kind(payload)
+	if !ok {
+		panic(fmt.Sprintf("node: %T is not an ecod message", payload))
+	}
+	return kind
+}
+
+// isAck reports whether kind is a driver-bound ack.
+func isAck(kind string) bool {
+	for _, m := range messages {
+		if m.kind == kind {
+			return m.ack
+		}
+	}
+	return false
+}
+
+// message addresses payload from one node to another.
+func message(from, to int, payload any, size int) netsim.Message {
+	return netsim.Message{
+		From: netsim.NodeID(from), To: netsim.NodeID(to),
+		Kind: kindOf(payload), Payload: payload, Size: size,
+	}
+}
 
 // TransferImpaired reports whether kind is subject to -impair drop/dup.
 // Only the live-migration data plane is lossy; the control barriers play
 // the sequencing role the simulation engine plays in netsim runs, so
 // impairing them would model a broken harness, not a lossy fabric.
-func TransferImpaired(kind string) bool { return kind == kindTransfer }
+func TransferImpaired(kind string) bool { return kind == kindOf(transferMsg{}) }
 
 type inviteMsg struct {
-	Round   int
+	Round   int32
 	Demand  float64
 	Ta      float64
-	Exclude int // global server ID excluded from the round, -1 for none
+	Exclude int32 // global server ID excluded from the round, -1 for none
 	NowNS   int64
-}
-
-func (m inviteMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.Round)))
-	b = tcptransport.AppendF64(b, m.Demand)
-	b = tcptransport.AppendF64(b, m.Ta)
-	b = tcptransport.AppendU32(b, uint32(int32(m.Exclude)))
-	b = tcptransport.AppendI64(b, m.NowNS)
-	return b
-}
-
-func decodeInvite(r *tcptransport.Reader) (any, error) {
-	m := inviteMsg{
-		Round: int(int32(r.U32())), Demand: r.F64(), Ta: r.F64(),
-		Exclude: int(int32(r.U32())), NowNS: r.I64(),
-	}
-	return m, r.Err()
 }
 
 // replyMsg aggregates one node's accepting servers for a round — the shard
 // analog of netsim's per-server ACCEPT/REJECT replies.
 type replyMsg struct {
-	Round   int
-	Node    int
+	Round   int32
+	Node    int32
 	Accepts []int32 // global server IDs, ascending
 }
 
-func (m replyMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.Round)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.Node)))
-	b = tcptransport.AppendU32(b, uint32(len(m.Accepts)))
-	for _, id := range m.Accepts {
-		b = tcptransport.AppendU32(b, uint32(id))
-	}
-	return b
-}
-
-func decodeReply(r *tcptransport.Reader) (any, error) {
-	m := replyMsg{Round: int(int32(r.U32())), Node: int(int32(r.U32()))}
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n > r.Len()/4 {
-		n = r.Len()/4 + 1 // forces the shortfall error below instead of a huge alloc
-	}
-	m.Accepts = make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		m.Accepts = append(m.Accepts, int32(r.U32()))
-	}
-	return m, r.Err()
-}
-
 type assignMsg struct {
-	VMID   int
-	Server int // global server ID, chosen by the driver
+	VMID   int32
+	Server int32 // global server ID, chosen by the driver
 	Wake   bool
 	NowNS  int64
 }
 
-func (m assignMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.Server)))
-	var w uint8
-	if m.Wake {
-		w = 1
-	}
-	b = tcptransport.AppendU8(b, w)
-	b = tcptransport.AppendI64(b, m.NowNS)
-	return b
-}
-
-func decodeAssign(r *tcptransport.Reader) (any, error) {
-	m := assignMsg{VMID: int(int32(r.U32())), Server: int(int32(r.U32()))}
-	m.Wake = r.U8() != 0
-	m.NowNS = r.I64()
-	return m, r.Err()
-}
-
 type assignedMsg struct {
-	VMID      int
-	Server    int
+	VMID      int32
+	Server    int32
 	Activated bool // the assign woke the server
 }
 
-func (m assignedMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.Server)))
-	var a uint8
-	if m.Activated {
-		a = 1
-	}
-	return tcptransport.AppendU8(b, a)
-}
-
-func decodeAssigned(r *tcptransport.Reader) (any, error) {
-	m := assignedMsg{VMID: int(int32(r.U32())), Server: int(int32(r.U32()))}
-	m.Activated = r.U8() != 0
-	return m, r.Err()
-}
-
 type removeMsg struct {
-	VMID  int
+	VMID  int32
 	NowNS int64
 }
 
-func (m removeMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	return tcptransport.AppendI64(b, m.NowNS)
-}
-
-func decodeRemove(r *tcptransport.Reader) (any, error) {
-	m := removeMsg{VMID: int(int32(r.U32())), NowNS: r.I64()}
-	return m, r.Err()
-}
-
 type removedMsg struct {
-	VMID int
-}
-
-func (m removedMsg) AppendWire(b []byte) []byte {
-	return tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-}
-
-func decodeRemoved(r *tcptransport.Reader) (any, error) {
-	m := removedMsg{VMID: int(int32(r.U32()))}
-	return m, r.Err()
+	VMID int32
 }
 
 type scanMsg struct {
 	NowNS int64
-}
-
-func (m scanMsg) AppendWire(b []byte) []byte { return tcptransport.AppendI64(b, m.NowNS) }
-
-func decodeScan(r *tcptransport.Reader) (any, error) {
-	m := scanMsg{NowNS: r.I64()}
-	return m, r.Err()
 }
 
 // migReqEntry is one server's migration request out of a scan tick.
@@ -207,141 +154,37 @@ type migReqEntry struct {
 // scandoneMsg is one node's scan outcome: servers it hibernated (drained
 // empty past the grace period) and the migration requests its servers drew.
 type scandoneMsg struct {
-	Node       int
+	Node       int32
 	Hibernated []int32
 	MigReqs    []migReqEntry
 }
 
-func (m scandoneMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.Node)))
-	b = tcptransport.AppendU32(b, uint32(len(m.Hibernated)))
-	for _, id := range m.Hibernated {
-		b = tcptransport.AppendU32(b, uint32(id))
-	}
-	b = tcptransport.AppendU32(b, uint32(len(m.MigReqs)))
-	for _, mr := range m.MigReqs {
-		b = tcptransport.AppendU32(b, uint32(mr.Server))
-		b = tcptransport.AppendU32(b, uint32(mr.VMID))
-		var h uint8
-		if mr.High {
-			h = 1
-		}
-		b = tcptransport.AppendU8(b, h)
-		b = tcptransport.AppendF64(b, mr.U)
-	}
-	return b
-}
-
-func decodeScandone(r *tcptransport.Reader) (any, error) {
-	m := scandoneMsg{Node: int(int32(r.U32()))}
-	nh := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if nh > r.Len()/4 {
-		nh = r.Len()/4 + 1
-	}
-	for i := 0; i < nh; i++ {
-		m.Hibernated = append(m.Hibernated, int32(r.U32()))
-	}
-	nm := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if nm > r.Len()/17 {
-		nm = r.Len()/17 + 1
-	}
-	for i := 0; i < nm; i++ {
-		m.MigReqs = append(m.MigReqs, migReqEntry{
-			Server: int32(r.U32()), VMID: int32(r.U32()),
-			High: r.U8() != 0, U: r.F64(),
-		})
-	}
-	return m, r.Err()
-}
-
 type wakeMsg struct {
-	Server int
+	Server int32
 	NowNS  int64
 }
 
-func (m wakeMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.Server)))
-	return tcptransport.AppendI64(b, m.NowNS)
-}
-
-func decodeWake(r *tcptransport.Reader) (any, error) {
-	m := wakeMsg{Server: int(int32(r.U32())), NowNS: r.I64()}
-	return m, r.Err()
-}
-
 type wokenMsg struct {
-	Server int
-}
-
-func (m wokenMsg) AppendWire(b []byte) []byte {
-	return tcptransport.AppendU32(b, uint32(int32(m.Server)))
-}
-
-func decodeWoken(r *tcptransport.Reader) (any, error) {
-	m := wokenMsg{Server: int(int32(r.U32()))}
-	return m, r.Err()
+	Server int32
 }
 
 // migrateMsg orders the source shard to start a live migration.
 type migrateMsg struct {
-	VMID       int
-	DestNode   int
-	DestServer int
+	VMID       int32
+	DestNode   int32
+	DestServer int32
 	High       bool
 	NowNS      int64
-}
-
-func (m migrateMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.DestNode)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.DestServer)))
-	var h uint8
-	if m.High {
-		h = 1
-	}
-	b = tcptransport.AppendU8(b, h)
-	return tcptransport.AppendI64(b, m.NowNS)
-}
-
-func decodeMigrate(r *tcptransport.Reader) (any, error) {
-	m := migrateMsg{VMID: int(int32(r.U32())), DestNode: int(int32(r.U32())), DestServer: int(int32(r.U32()))}
-	m.High = r.U8() != 0
-	m.NowNS = r.I64()
-	return m, r.Err()
 }
 
 // transferMsg is the live migration on the wire, shard to shard. The VM's
 // RAM is declared in the frame's Size, not shipped: every node regenerates
 // the workload from the shared seed, so the VM's identity suffices.
 type transferMsg struct {
-	VMID       int
-	DestServer int
+	VMID       int32
+	DestServer int32
 	High       bool
 	NowNS      int64
-}
-
-func (m transferMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.DestServer)))
-	var h uint8
-	if m.High {
-		h = 1
-	}
-	b = tcptransport.AppendU8(b, h)
-	return tcptransport.AppendI64(b, m.NowNS)
-}
-
-func decodeTransfer(r *tcptransport.Reader) (any, error) {
-	m := transferMsg{VMID: int(int32(r.U32())), DestServer: int(int32(r.U32()))}
-	m.High = r.U8() != 0
-	m.NowNS = r.I64()
-	return m, r.Err()
 }
 
 // cutoverMsg tells the source shard the destination runs the VM: drop the
@@ -352,105 +195,40 @@ func decodeTransfer(r *tcptransport.Reader) (any, error) {
 // VM off the source when the transfer landed, and the cutover must not
 // touch the destination copy.
 type cutoverMsg struct {
-	VMID      int
-	SrcServer int
+	VMID      int32
+	SrcServer int32
 	NowNS     int64
-}
-
-func (m cutoverMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.SrcServer)))
-	return tcptransport.AppendI64(b, m.NowNS)
-}
-
-func decodeCutover(r *tcptransport.Reader) (any, error) {
-	m := cutoverMsg{VMID: int(int32(r.U32())), SrcServer: int(int32(r.U32())), NowNS: r.I64()}
-	return m, r.Err()
 }
 
 // migratedMsg acks a completed (or moot) migration to the driver.
 type migratedMsg struct {
-	VMID      int
-	Server    int // destination global server ID
+	VMID      int32
+	Server    int32 // destination global server ID
 	OK        bool
 	Activated bool // defensive cutover woke the destination
-}
-
-func (m migratedMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.VMID)))
-	b = tcptransport.AppendU32(b, uint32(int32(m.Server)))
-	var f uint8
-	if m.OK {
-		f |= 1
-	}
-	if m.Activated {
-		f |= 2
-	}
-	return tcptransport.AppendU8(b, f)
-}
-
-func decodeMigrated(r *tcptransport.Reader) (any, error) {
-	m := migratedMsg{VMID: int(int32(r.U32())), Server: int(int32(r.U32()))}
-	f := r.U8()
-	m.OK = f&1 != 0
-	m.Activated = f&2 != 0
-	return m, r.Err()
 }
 
 type utilQueryMsg struct {
 	NowNS int64
 }
 
-func (m utilQueryMsg) AppendWire(b []byte) []byte { return tcptransport.AppendI64(b, m.NowNS) }
-
-func decodeUtilQuery(r *tcptransport.Reader) (any, error) {
-	m := utilQueryMsg{NowNS: r.I64()}
-	return m, r.Err()
-}
-
 // utilBestMsg reports a node's least-utilized active server (saturation
 // fallback: everything is full, degrade onto the least-loaded machine).
 type utilBestMsg struct {
-	Node   int
+	Node   int32
 	Has    bool
-	Server int
+	Server int32
 	U      float64
-}
-
-func (m utilBestMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.Node)))
-	var h uint8
-	if m.Has {
-		h = 1
-	}
-	b = tcptransport.AppendU8(b, h)
-	b = tcptransport.AppendU32(b, uint32(int32(m.Server)))
-	return tcptransport.AppendF64(b, m.U)
-}
-
-func decodeUtilBest(r *tcptransport.Reader) (any, error) {
-	m := utilBestMsg{Node: int(int32(r.U32()))}
-	m.Has = r.U8() != 0
-	m.Server = int(int32(r.U32()))
-	m.U = r.F64()
-	return m, r.Err()
 }
 
 type doneMsg struct {
 	HorizonNS int64
 }
 
-func (m doneMsg) AppendWire(b []byte) []byte { return tcptransport.AppendI64(b, m.HorizonNS) }
-
-func decodeDone(r *tcptransport.Reader) (any, error) {
-	m := doneMsg{HorizonNS: r.I64()}
-	return m, r.Err()
-}
-
 // summaryMsg is one node's run totals, merged by the driver into the
 // cluster summary figure.
 type summaryMsg struct {
-	Node          int
+	Node          int32
 	Placements    int64
 	Removals      int64
 	MigrationsIn  int64
@@ -463,56 +241,12 @@ type summaryMsg struct {
 	BytesSent     int64
 }
 
-func (m summaryMsg) AppendWire(b []byte) []byte {
-	b = tcptransport.AppendU32(b, uint32(int32(m.Node)))
-	b = tcptransport.AppendI64(b, m.Placements)
-	b = tcptransport.AppendI64(b, m.Removals)
-	b = tcptransport.AppendI64(b, m.MigrationsIn)
-	b = tcptransport.AppendI64(b, m.MigrationsOut)
-	b = tcptransport.AppendI64(b, m.Hibernates)
-	b = tcptransport.AppendI64(b, m.Activations)
-	b = tcptransport.AppendI64(b, m.FinalActive)
-	b = tcptransport.AppendF64(b, m.EnergyKWh)
-	b = tcptransport.AppendI64(b, m.MsgsSent)
-	b = tcptransport.AppendI64(b, m.BytesSent)
-	return b
-}
-
-func decodeSummary(r *tcptransport.Reader) (any, error) {
-	m := summaryMsg{
-		Node:       int(int32(r.U32())),
-		Placements: r.I64(), Removals: r.I64(),
-		MigrationsIn: r.I64(), MigrationsOut: r.I64(),
-		Hibernates: r.I64(), Activations: r.I64(),
-		FinalActive: r.I64(), EnergyKWh: r.F64(),
-		MsgsSent: r.I64(), BytesSent: r.I64(),
-	}
-	return m, r.Err()
-}
-
-// BuildCodec registers every ecod message kind.
-func BuildCodec() *tcptransport.Codec {
-	c := tcptransport.NewCodec()
-	c.Register(kindInvite, decodeInvite)
-	c.Register(kindReply, decodeReply)
-	c.Register(kindAssign, decodeAssign)
-	c.Register(kindAssigned, decodeAssigned)
-	c.Register(kindRemove, decodeRemove)
-	c.Register(kindRemoved, decodeRemoved)
-	c.Register(kindScan, decodeScan)
-	c.Register(kindScandone, decodeScandone)
-	c.Register(kindWake, decodeWake)
-	c.Register(kindWoken, decodeWoken)
-	c.Register(kindMigrate, decodeMigrate)
-	c.Register(kindTransfer, decodeTransfer)
-	c.Register(kindCutover, decodeCutover)
-	c.Register(kindMigrated, decodeMigrated)
-	c.Register(kindUtilQuery, decodeUtilQuery)
-	c.Register(kindUtilBest, decodeUtilBest)
-	c.Register(kindDone, decodeDone)
-	c.Register(kindSummary, decodeSummary)
-	return c
-}
+// The acks every node sends once per broadcast name their sender, so
+// gather can file them in node order.
+func (m replyMsg) sender() int32    { return m.Node }
+func (m scandoneMsg) sender() int32 { return m.Node }
+func (m utilBestMsg) sender() int32 { return m.Node }
+func (m summaryMsg) sender() int32  { return m.Node }
 
 // vt converts a wire timestamp back to virtual time.
 func vt(ns int64) time.Duration { return time.Duration(ns) }

@@ -11,6 +11,32 @@ import (
 	"repro/internal/trace"
 )
 
+// transport is the message fabric the agents and the driver target:
+// everything the manager and the server agents need from a network, and
+// nothing more. tcptransport.Transport is the deployed one; the tests fake
+// it. netsim.Network has the same methods, but protocol.Cluster runs on it
+// directly.
+//
+// Contract: Register installs the handler that receives messages addressed
+// to id (re-registering replaces); Send and Broadcast queue deliveries;
+// handlers are invoked serially, never concurrently (tcptransport runs them
+// on its one dispatch goroutine). Broadcast is the fabric's chance to
+// exploit hardware broadcast (footnote 1 of the paper): netsim counts one
+// wire transmission for the whole fan-out, TCP necessarily pays one frame
+// per destination.
+type transport interface {
+	// Register installs the handler for a protocol participant.
+	Register(id netsim.NodeID, h netsim.Handler)
+	// Send queues one message for delivery.
+	Send(msg netsim.Message)
+	// Broadcast sends the same payload to every destination.
+	Broadcast(from netsim.NodeID, tos []netsim.NodeID, kind string, payload any, size int)
+	// Stats returns wire transmissions and bytes delivered so far.
+	Stats() (sent int, bytes int64)
+}
+
+var _ transport = (*tcptransport.Transport)(nil)
+
 // Node is one ecod process: the shard agent for its span, plus — on node 0
 // — the workload driver. Every node is started from the same ClusterConfig;
 // the transport handshake (config hash + seed) is the only join protocol.
@@ -56,7 +82,7 @@ func New(cfg *ClusterConfig, self int, opts Options) (*Node, error) {
 		Self:           self,
 		Addrs:          addrs,
 		Listener:       opts.Listener,
-		Codec:          BuildCodec(),
+		Codec:          codec,
 		ConfigHash:     cfg.Hash(),
 		Seed:           cfg.Seed,
 		Impair:         cfg.Impairments(),
@@ -67,27 +93,29 @@ func New(cfg *ClusterConfig, self int, opts Options) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{cfg: cfg, self: self, tr: tr}
-	n.agent, err = newAgent(cfg, self, ws, tr, tr.Stats)
+	n.agent, err = newAgent(cfg, self, ws, tr)
 	if err != nil {
 		tr.Close()
 		return nil, err
 	}
+	route := func(m netsim.Message) { n.agent.inbox <- m.Payload }
 	if self == driverNode {
 		n.driver, err = newDriver(cfg, ws, tr)
 		if err != nil {
 			tr.Close()
 			return nil, err
 		}
-		tr.Register(netsim.NodeID(self), func(m netsim.Message) {
-			// Node 0 hosts both roles on one mesh address: acks go to the
-			// driver's barrier channels, requests to the agent loop.
-			if !n.driver.handle(m) {
-				n.agent.handle(m)
+		// Node 0 hosts both roles on one mesh address: acks go to the
+		// driver's inbox, requests to the agent's.
+		route = func(m netsim.Message) {
+			if isAck(m.Kind) {
+				n.driver.inbox <- m.Payload
+			} else {
+				n.agent.inbox <- m.Payload
 			}
-		})
-	} else {
-		tr.Register(netsim.NodeID(self), n.agent.handle)
+		}
 	}
+	tr.Register(netsim.NodeID(self), route)
 	return n, nil
 }
 
@@ -100,7 +128,7 @@ func (n *Node) Run(outDir string) (*experiments.Figure, error) {
 	}
 	defer n.tr.Close()
 	agentDone := make(chan struct{})
-	//ecolint:allow goroutine — the agent loop must consume requests while Run's goroutine blocks in driver barriers (node 0) or waits for completion; the loop owns all shard state, the channels are the only interface
+	//ecolint:allow goroutine — the agent loop must consume requests while Run's goroutine blocks in driver barriers (node 0) or waits for completion; the loop owns all shard state, its inbox is the only interface
 	go func() {
 		defer close(agentDone)
 		n.agent.run()

@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
 // Transport carries protocol messages between ecod processes over a full
-// mesh of TCP connections. It implements protocol.Transport with the node
-// index as the NodeID: Send(msg) routes msg.To to the process hosting that
-// node, loopback when it is this process.
+// mesh of TCP connections, with the node index as the NodeID: Send(msg)
+// routes msg.To to the process hosting that node, loopback when it is this
+// process.
 //
 // Mesh shape: every pair of nodes shares one connection; the lower-indexed
 // node accepts, the higher-indexed node dials (and redials with 100 ms → 2 s
@@ -28,11 +27,10 @@ import (
 // join protocol.
 //
 // Delivery: one dispatch goroutine drains every decoded frame and invokes
-// the registered handlers serially, satisfying the Transport contract that
-// handlers never run concurrently. A frame addressed to an unregistered
-// node is dropped (counted in Rejected) rather than panicking: unlike
-// netsim, where a bad address is a local programming error, here it is
-// adversarial input from a peer.
+// the registered handlers serially, so handlers never run concurrently. A
+// frame addressed to an unregistered node is dropped (counted in Rejected)
+// rather than panicking: unlike netsim, where a bad address is a local
+// programming error, here it is adversarial input from a peer.
 //
 // Impairments: the -impair flag reuses netsim.Impairments semantics at this
 // codec boundary. Decisions are send-side, per destination link, drawn from
@@ -73,8 +71,6 @@ type Transport struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
-
-var _ protocol.Transport = (*Transport)(nil)
 
 // Config describes one process's place in the cluster.
 type Config struct {
@@ -124,24 +120,9 @@ const (
 // hello is the handshake payload: who is connecting, and proof it was built
 // from the same cluster config and seed.
 type hello struct {
-	Node int
+	Node int32
 	Hash [32]byte
 	Seed uint64
-}
-
-func (h hello) AppendWire(b []byte) []byte {
-	b = AppendU32(b, uint32(int32(h.Node)))
-	b = append(b, h.Hash[:]...)
-	b = AppendU64(b, h.Seed)
-	return b
-}
-
-func decodeHello(r *Reader) (any, error) {
-	var h hello
-	h.Node = int(int32(r.U32()))
-	copy(h.Hash[:], r.Take(len(h.Hash)))
-	h.Seed = r.U64()
-	return h, r.Err()
 }
 
 // New builds the transport. It does not touch the network until Start.
@@ -155,11 +136,8 @@ func New(cfg Config) (*Transport, error) {
 	if _, ok := cfg.Addrs[cfg.Self]; !ok && cfg.Listener == nil {
 		return nil, fmt.Errorf("tcptransport: node %d has no address and no listener", cfg.Self)
 	}
-	codec := NewCodec()
-	for kind, dec := range cfg.Codec.dec {
-		codec.Register(kind, dec)
-	}
-	codec.Register(helloKind, decodeHello)
+	codec := cfg.Codec.clone()
+	codec.Register(helloKind, hello{})
 	t := &Transport{
 		cfg:      cfg,
 		codec:    codec,
@@ -190,8 +168,8 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// Register implements protocol.Transport. Handlers must be installed before
-// Start; re-registering replaces.
+// Register installs the handler for node id. Handlers must be installed
+// before Start; re-registering replaces.
 func (t *Transport) Register(id netsim.NodeID, h netsim.Handler) {
 	if h == nil {
 		panic(fmt.Sprintf("tcptransport: nil handler for node %d", id))
@@ -283,7 +261,7 @@ func (t *Transport) Close() {
 	t.wg.Wait()
 }
 
-// Send implements protocol.Transport.
+// Send queues one message for delivery.
 func (t *Transport) Send(msg netsim.Message) {
 	t.mu.Lock()
 	t.sent++
@@ -292,16 +270,16 @@ func (t *Transport) Send(msg netsim.Message) {
 	t.transmit(msg)
 }
 
-// Broadcast implements protocol.Transport. TCP has no hardware broadcast:
-// unlike netsim's single wire transmission, every destination costs one
-// frame, and Stats counts it so.
+// Broadcast sends the same payload to every destination. TCP has no
+// hardware broadcast: unlike netsim's single wire transmission, every
+// destination costs one frame, and Stats counts it so.
 func (t *Transport) Broadcast(from netsim.NodeID, tos []netsim.NodeID, kind string, payload any, size int) {
 	for _, to := range tos {
 		t.Send(netsim.Message{From: from, To: to, Kind: kind, Payload: payload, Size: size})
 	}
 }
 
-// Stats implements protocol.Transport.
+// Stats returns the frames sent and the logical bytes they declared.
 func (t *Transport) Stats() (sent int, bytes int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -489,7 +467,7 @@ func (t *Transport) handshake(conn net.Conn, wantPeer int) error {
 	if err != nil {
 		return err
 	}
-	if h.Node != wantPeer {
+	if int(h.Node) != wantPeer {
 		return fmt.Errorf("tcptransport: dialed node %d, got hello from node %d", wantPeer, h.Node)
 	}
 	return conn.SetDeadline(time.Time{})
@@ -531,7 +509,7 @@ func (t *Transport) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	l, ok := t.links[h.Node]
+	l, ok := t.links[int(h.Node)]
 	if !ok || l.dialer {
 		// Unknown peer, or one that should be accepting us: refuse.
 		conn.Close()
@@ -553,7 +531,7 @@ func (t *Transport) serve(conn net.Conn) {
 func (t *Transport) sendHello(conn net.Conn) error {
 	frame, err := EncodeFrame(netsim.Message{
 		From: netsim.NodeID(t.cfg.Self), To: -1, Kind: helloKind,
-		Payload: hello{Node: t.cfg.Self, Hash: t.cfg.ConfigHash, Seed: t.cfg.Seed},
+		Payload: hello{Node: int32(t.cfg.Self), Hash: t.cfg.ConfigHash, Seed: t.cfg.Seed},
 	}, t.codec)
 	if err != nil {
 		return err
@@ -603,7 +581,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 }
 
 // dispatch is the single delivery goroutine: the serial-handler guarantee
-// of the Transport contract lives here.
+// lives here.
 func (t *Transport) dispatch() {
 	for {
 		select {

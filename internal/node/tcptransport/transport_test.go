@@ -13,11 +13,9 @@ import (
 // ping is the test payload flowing over the mesh.
 type ping struct{ N uint64 }
 
-func (p ping) AppendWire(b []byte) []byte { return AppendU64(b, p.N) }
-
 func pingCodec() *Codec {
 	c := NewCodec()
-	c.Register("ping", func(r *Reader) (any, error) { return ping{N: r.U64()}, r.Err() })
+	c.Register("ping", ping{})
 	return c
 }
 
@@ -179,7 +177,7 @@ func TestImpairmentIsDeterministicPerLink(t *testing.T) {
 		done := make(chan struct{})
 		const sends = 200
 		trs := startMesh(t, 2, func(i int, cfg *Config) {
-			cfg.Codec.Register("flush", func(r *Reader) (any, error) { return nil, nil })
+			cfg.Codec.Register("flush", nil)
 			cfg.Impair = netsim.Impairments{DropProb: 0.2, DupProb: 0.1}
 			cfg.Impaired = func(kind string) bool { return kind == "ping" }
 		})

@@ -1,8 +1,8 @@
 // Package tcptransport carries the ecoCloud protocol between real processes:
-// it implements protocol.Transport over a full mesh of TCP connections with a
-// length-prefixed binary frame codec, so the same cluster logic that runs on
-// the simulated netsim fabric (and is pinned there by the goldens) can run as
-// one shard per OS process on loopback or a real network.
+// a full mesh of TCP connections with a length-prefixed binary frame codec,
+// so the same cluster logic that runs on the simulated netsim fabric (and is
+// pinned there by the goldens) can run as one shard per OS process on
+// loopback or a real network.
 //
 // The package is quarantined from the simulation core by ecolint's boundary
 // rule: sim-critical packages must not import it, because it deals in wall
@@ -10,10 +10,12 @@
 package tcptransport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 
 	"repro/internal/netsim"
 )
@@ -28,14 +30,18 @@ import (
 //
 // where size is the message's logical byte count (what netsim's latency model
 // and the Bytes counter see — a TRANSFER frame declares the VM's RAM bytes
-// without shipping them), and payload is the kind-specific binary encoding.
-// All integers are big-endian and fixed-width: the codec must be rejectable
-// byte-by-byte without trusting any length it has not yet bounds-checked.
+// without shipping them), and payload is the kind's registered struct: its
+// fields in declaration order, each laid out by encoding/binary, a slice as a
+// u32 element count followed by its elements. All integers are big-endian
+// and fixed-width: the codec must be rejectable byte-by-byte without
+// trusting any length it has not yet bounds-checked.
 const (
 	magic0 = 0xEC // "ecod"
 	magic1 = 0x0D
 
-	wireVersion = 1
+	// wireVersion 2: bools are one byte each (0 or 1) everywhere; version 1
+	// packed MIGRATED's two flags into one byte.
+	wireVersion = 2
 
 	headerLen = 7
 
@@ -45,71 +51,177 @@ const (
 	MaxBody = 1 << 20
 )
 
-// Marshaler is implemented by every payload that crosses the wire.
-type Marshaler interface {
-	// AppendWire appends the payload's binary encoding to b.
-	AppendWire(b []byte) []byte
+// envelope is the fixed-width head of a frame body, ahead of the kind.
+type envelope struct {
+	From, To, Size int32
+	KindLen        uint8
 }
 
-// Decoder turns a payload's wire bytes back into the typed value. It must
-// consume exactly the bytes it is given.
-type Decoder func(r *Reader) (any, error)
-
-// Codec maps message kinds to payload decoders. Encoding needs no registry —
-// payloads carry their own AppendWire — but decoding a kind the codec was
-// never taught is a malformed frame, not a guess.
+// Codec maps message kinds to payload types and back. Decoding a kind the
+// codec was never taught is a malformed frame, not a guess.
 type Codec struct {
-	dec map[string]Decoder
+	types map[string]reflect.Type
+	kinds map[reflect.Type]string
 }
 
 // NewCodec returns an empty codec.
-func NewCodec() *Codec { return &Codec{dec: make(map[string]Decoder)} }
+func NewCodec() *Codec {
+	return &Codec{types: make(map[string]reflect.Type), kinds: make(map[reflect.Type]string)}
+}
 
-// Register installs the decoder for one message kind. Registering a kind
-// twice is a programming error.
-func (c *Codec) Register(kind string, d Decoder) {
+// Register teaches the codec one message kind, carried by payloads of
+// proto's type: a struct whose exported fields are each fixed-size for
+// encoding/binary (int32, int64, uint64, float64, bool, arrays and structs
+// of those) or a slice of such elements. A nil proto declares a kind with
+// no payload. Registering a kind or a payload type twice, or a type the
+// codec cannot lay out, is a programming error.
+func (c *Codec) Register(kind string, proto any) {
 	if kind == "" || len(kind) > math.MaxUint8 {
 		panic(fmt.Sprintf("tcptransport: unusable kind %q", kind))
 	}
-	if d == nil {
-		panic(fmt.Sprintf("tcptransport: nil decoder for kind %q", kind))
+	if _, dup := c.types[kind]; dup {
+		panic(fmt.Sprintf("tcptransport: kind %q registered twice", kind))
 	}
-	if _, dup := c.dec[kind]; dup {
-		panic(fmt.Sprintf("tcptransport: duplicate decoder for kind %q", kind))
+	t := reflect.TypeOf(proto)
+	if t != nil {
+		if err := checkLayout(t); err != nil {
+			panic(fmt.Sprintf("tcptransport: kind %q: %v", kind, err))
+		}
+		if other, dup := c.kinds[t]; dup {
+			panic(fmt.Sprintf("tcptransport: %v registered for kinds %q and %q", t, other, kind))
+		}
+		c.kinds[t] = kind
 	}
-	c.dec[kind] = d
+	c.types[kind] = t
 }
 
-// Kinds reports whether kind is known to the codec.
-func (c *Codec) Kinds(kind string) bool { _, ok := c.dec[kind]; return ok }
+// checkLayout reports whether t is a struct the generic codec can lay out.
+func checkLayout(t reflect.Type) error {
+	if t.Kind() != reflect.Struct {
+		return fmt.Errorf("payload %v is not a struct", t)
+	}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		ft := f.Type
+		if ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		width := binary.Size(reflect.Zero(ft).Interface())
+		switch {
+		case !f.IsExported():
+			return fmt.Errorf("%v.%s is unexported", t, f.Name)
+		case width < 0:
+			return fmt.Errorf("%v.%s has no fixed wire width", t, f.Name)
+		case width == 0 && ft != f.Type:
+			return fmt.Errorf("%v.%s is a slice of zero-width elements", t, f.Name)
+		}
+	}
+	return nil
+}
+
+// Kind returns the kind registered for payload's type.
+func (c *Codec) Kind(payload any) (string, bool) {
+	k, ok := c.kinds[reflect.TypeOf(payload)]
+	return k, ok
+}
+
+// clone returns a copy of c that can be extended without touching c.
+func (c *Codec) clone() *Codec {
+	out := NewCodec()
+	for kind, t := range c.types {
+		out.types[kind] = t
+	}
+	for t, kind := range c.kinds {
+		out.kinds[t] = kind
+	}
+	return out
+}
+
+// writePayload appends v's fields in declaration order. Register has checked
+// every field's layout, so binary.Write cannot fail on a bytes.Buffer.
+func writePayload(w *bytes.Buffer, v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() == reflect.Slice {
+			_ = binary.Write(w, binary.BigEndian, uint32(f.Len()))
+		}
+		_ = binary.Write(w, binary.BigEndian, f.Interface())
+	}
+}
+
+// readPayload decodes body as a value of type t (nil: no payload). Each
+// slice count is bounds-checked against the bytes left before anything is
+// allocated, and the body must be the canonical encoding of the value it
+// decodes to: a bool byte other than 0 or 1 re-encodes differently and is
+// rejected, so no two frames decode to the same message.
+func readPayload(t reflect.Type, body []byte) (any, error) {
+	if t == nil {
+		if len(body) != 0 {
+			return nil, fmt.Errorf("%d trailing bytes", len(body))
+		}
+		return nil, nil
+	}
+	v := reflect.New(t).Elem()
+	r := bytes.NewReader(body)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() == reflect.Slice {
+			var n uint32
+			if err := binary.Read(r, binary.BigEndian, &n); err != nil {
+				return nil, fmt.Errorf("%s count: %w", t.Field(i).Name, err)
+			}
+			if n == 0 {
+				continue
+			}
+			width := binary.Size(reflect.Zero(f.Type().Elem()).Interface())
+			if uint64(n)*uint64(width) > uint64(r.Len()) {
+				return nil, fmt.Errorf("%s: %d elements of %d bytes, %d bytes left", t.Field(i).Name, n, width, r.Len())
+			}
+			f.Set(reflect.MakeSlice(f.Type(), int(n), int(n)))
+		}
+		if err := binary.Read(r, binary.BigEndian, f.Addr().Interface()); err != nil {
+			return nil, fmt.Errorf("%s: %w", t.Field(i).Name, err)
+		}
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	var re bytes.Buffer
+	writePayload(&re, v)
+	if !bytes.Equal(re.Bytes(), body) {
+		return nil, fmt.Errorf("body is not the canonical encoding of its %v", t)
+	}
+	return v.Interface(), nil
+}
 
 // EncodeFrame serializes one message into a complete frame. The payload must
-// be nil or a Marshaler; anything else is a programming error on the sending
-// side and returns an error rather than crossing the wire corrupted.
+// have the type registered for the message's kind; anything else is a
+// programming error on the sending side and returns an error rather than
+// crossing the wire corrupted.
 func EncodeFrame(msg netsim.Message, c *Codec) ([]byte, error) {
-	if !c.Kinds(msg.Kind) {
+	t, ok := c.types[msg.Kind]
+	if !ok {
 		return nil, fmt.Errorf("tcptransport: encode: unregistered kind %q", msg.Kind)
 	}
-	body := make([]byte, 0, 16+len(msg.Kind))
-	body = AppendU32(body, uint32(int32(msg.From)))
-	body = AppendU32(body, uint32(int32(msg.To)))
-	body = AppendU32(body, uint32(int32(msg.Size)))
-	body = append(body, byte(len(msg.Kind)))
-	body = append(body, msg.Kind...)
-	switch p := msg.Payload.(type) {
-	case nil:
-	case Marshaler:
-		body = p.AppendWire(body)
-	default:
-		return nil, fmt.Errorf("tcptransport: encode %q: payload %T does not implement Marshaler", msg.Kind, msg.Payload)
+	if got := reflect.TypeOf(msg.Payload); got != t {
+		return nil, fmt.Errorf("tcptransport: encode %q: payload %v, kind carries %v", msg.Kind, got, t)
 	}
-	if len(body) > MaxBody {
-		return nil, fmt.Errorf("tcptransport: encode %q: body %d exceeds MaxBody %d", msg.Kind, len(body), MaxBody)
+	var w bytes.Buffer
+	w.Write([]byte{magic0, magic1, wireVersion, 0, 0, 0, 0})
+	_ = binary.Write(&w, binary.BigEndian, envelope{
+		From: int32(msg.From), To: int32(msg.To), Size: int32(msg.Size), KindLen: uint8(len(msg.Kind)),
+	})
+	w.WriteString(msg.Kind)
+	if t != nil {
+		writePayload(&w, reflect.ValueOf(msg.Payload))
 	}
-	frame := make([]byte, 0, headerLen+len(body))
-	frame = append(frame, magic0, magic1, wireVersion)
-	frame = AppendU32(frame, uint32(len(body)))
-	return append(frame, body...), nil
+	frame := w.Bytes()
+	body := len(frame) - headerLen
+	if body > MaxBody {
+		return nil, fmt.Errorf("tcptransport: encode %q: body %d exceeds MaxBody %d", msg.Kind, body, MaxBody)
+	}
+	binary.BigEndian.PutUint32(frame[3:headerLen], uint32(body))
+	return frame, nil
 }
 
 // DecodeFrame reads one frame from r and returns the decoded message.
@@ -130,7 +242,7 @@ func DecodeFrame(r io.Reader, c *Codec) (netsim.Message, error) {
 	if hdr[2] != wireVersion {
 		return netsim.Message{}, fmt.Errorf("tcptransport: wire version %d, want %d", hdr[2], wireVersion)
 	}
-	body := binary.BigEndian.Uint32(hdr[3:7])
+	body := binary.BigEndian.Uint32(hdr[3:headerLen])
 	if body > MaxBody {
 		return netsim.Message{}, fmt.Errorf("tcptransport: frame body %d exceeds MaxBody %d", body, MaxBody)
 	}
@@ -144,32 +256,26 @@ func DecodeFrame(r io.Reader, c *Codec) (netsim.Message, error) {
 // decodeBody parses a complete frame body. Split out so the fuzz target can
 // hit the parser without a reader in the way.
 func decodeBody(buf []byte, c *Codec) (netsim.Message, error) {
-	rd := NewReader(buf)
-	from := int32(rd.U32())
-	to := int32(rd.U32())
-	size := int32(rd.U32())
-	kindLen := int(rd.U8())
-	kind := string(rd.Take(kindLen))
-	if err := rd.Err(); err != nil {
+	r := bytes.NewReader(buf)
+	var env envelope
+	if err := binary.Read(r, binary.BigEndian, &env); err != nil {
 		return netsim.Message{}, fmt.Errorf("tcptransport: truncated body: %w", err)
 	}
-	dec, ok := c.dec[kind]
+	kind := make([]byte, env.KindLen)
+	if _, err := io.ReadFull(r, kind); err != nil {
+		return netsim.Message{}, fmt.Errorf("tcptransport: truncated body: %w", err)
+	}
+	t, ok := c.types[string(kind)]
 	if !ok {
 		return netsim.Message{}, fmt.Errorf("tcptransport: unregistered kind %q", kind)
 	}
-	payload, err := dec(rd)
+	payload, err := readPayload(t, buf[len(buf)-r.Len():])
 	if err != nil {
 		return netsim.Message{}, fmt.Errorf("tcptransport: decode %q: %w", kind, err)
 	}
-	if err := rd.Err(); err != nil {
-		return netsim.Message{}, fmt.Errorf("tcptransport: decode %q: %w", kind, err)
-	}
-	if rd.Len() != 0 {
-		return netsim.Message{}, fmt.Errorf("tcptransport: decode %q: %d trailing bytes", kind, rd.Len())
-	}
 	return netsim.Message{
-		From: netsim.NodeID(from), To: netsim.NodeID(to),
-		Kind: kind, Payload: payload, Size: int(size),
+		From: netsim.NodeID(env.From), To: netsim.NodeID(env.To),
+		Kind: string(kind), Payload: payload, Size: int(env.Size),
 	}, nil
 }
 
@@ -179,113 +285,3 @@ func unexpected(err error) error {
 	}
 	return err
 }
-
-// Reader is a sticky-error cursor over a payload's bytes. After the first
-// shortfall every accessor returns zero values and Err reports the problem,
-// so decoders can read a whole struct and check once.
-type Reader struct {
-	b   []byte
-	err error
-}
-
-// NewReader wraps b.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Err returns the first error encountered.
-func (r *Reader) Err() error { return r.err }
-
-// Len returns the unconsumed byte count.
-func (r *Reader) Len() int { return len(r.b) }
-
-func (r *Reader) fail(n int) {
-	if r.err == nil {
-		r.err = fmt.Errorf("need %d bytes, have %d", n, len(r.b))
-	}
-}
-
-// Take consumes exactly n bytes. Negative or oversized n is a shortfall.
-func (r *Reader) Take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.fail(n)
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// U8 consumes one byte.
-func (r *Reader) U8() uint8 {
-	b := r.Take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U32 consumes a big-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.Take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-// U64 consumes a big-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.Take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-// I64 consumes a big-endian two's-complement int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// F64 consumes an IEEE-754 float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bytes consumes a u32-length-prefixed byte slice. The length is bounds-
-// checked against the remaining payload before any allocation.
-func (r *Reader) Bytes() []byte {
-	n := r.U32()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(n) > uint64(len(r.b)) {
-		r.fail(int(n))
-		return nil
-	}
-	return r.Take(int(n))
-}
-
-// String consumes a u32-length-prefixed UTF-8 string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Append helpers, the writing mirror of Reader. All fixed-width big-endian.
-
-// AppendU8 appends one byte.
-func AppendU8(b []byte, v uint8) []byte { return append(b, v) }
-
-// AppendU32 appends a big-endian uint32.
-func AppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-
-// AppendU64 appends a big-endian uint64.
-func AppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-// AppendI64 appends a big-endian two's-complement int64.
-func AppendI64(b []byte, v int64) []byte { return AppendU64(b, uint64(v)) }
-
-// AppendF64 appends an IEEE-754 float64.
-func AppendF64(b []byte, v float64) []byte { return AppendU64(b, math.Float64bits(v)) }
-
-// AppendBytes appends a u32-length-prefixed byte slice.
-func AppendBytes(b, v []byte) []byte { return append(AppendU32(b, uint32(len(v))), v...) }
-
-// AppendString appends a u32-length-prefixed string.
-func AppendString(b []byte, v string) []byte { return append(AppendU32(b, uint32(len(v))), v...) }

@@ -4,39 +4,36 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/netsim"
 )
 
-// testPayload exercises every primitive the helpers offer.
+// testPayload exercises every field shape the codec lays out.
 type testPayload struct {
 	A uint64
 	B int64
 	C float64
-	D string
-	E []byte
+	D bool
+	E [3]byte
+	F []int32
+	G []pair
 }
 
-func (p testPayload) AppendWire(b []byte) []byte {
-	b = AppendU64(b, p.A)
-	b = AppendI64(b, p.B)
-	b = AppendF64(b, p.C)
-	b = AppendString(b, p.D)
-	b = AppendBytes(b, p.E)
-	return b
+type pair struct {
+	K  int32
+	On bool
 }
 
-func decodeTestPayload(r *Reader) (any, error) {
-	p := testPayload{A: r.U64(), B: r.I64(), C: r.F64(), D: r.String(), E: r.Bytes()}
-	return p, r.Err()
-}
+// payloadAt is the offset of the test payload in a frame of kind "test".
+const payloadAt = headerLen + 13 + len("test")
 
 func testCodec() *Codec {
 	c := NewCodec()
-	c.Register("test", decodeTestPayload)
-	c.Register("empty", func(r *Reader) (any, error) { return nil, nil })
+	c.Register("test", testPayload{})
+	c.Register("empty", nil)
 	return c
 }
 
@@ -53,7 +50,8 @@ func TestWireRoundTrip(t *testing.T) {
 	c := testCodec()
 	want := netsim.Message{
 		From: 3, To: 7, Kind: "test", Size: 4096,
-		Payload: testPayload{A: 1 << 60, B: -42, C: 2.5, D: "vm-1189", E: []byte{0, 1, 2}},
+		Payload: testPayload{A: 1 << 60, B: -42, C: 2.5, D: true, E: [3]byte{0, 1, 2},
+			F: []int32{-1, 1189}, G: []pair{{K: 7, On: true}, {K: -7}}},
 	}
 	frame := mustEncode(t, want)
 	got, err := DecodeFrame(bytes.NewReader(frame), c)
@@ -63,10 +61,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if got.From != want.From || got.To != want.To || got.Kind != want.Kind || got.Size != want.Size {
 		t.Fatalf("envelope mismatch: got %+v want %+v", got, want)
 	}
-	gp := got.Payload.(testPayload)
-	wp := want.Payload.(testPayload)
-	if gp.A != wp.A || gp.B != wp.B || gp.C != wp.C || gp.D != wp.D || !bytes.Equal(gp.E, wp.E) {
-		t.Fatalf("payload mismatch: got %+v want %+v", gp, wp)
+	if !reflect.DeepEqual(got.Payload, want.Payload) {
+		t.Fatalf("payload mismatch: got %+v want %+v", got.Payload, want.Payload)
 	}
 
 	// Two frames back to back decode in sequence; the reader then reports a
@@ -100,9 +96,12 @@ func TestWireEncodeRejects(t *testing.T) {
 		t.Fatal("unregistered kind must not encode")
 	}
 	if _, err := EncodeFrame(netsim.Message{Kind: "test", Payload: 42}, c); err == nil {
-		t.Fatal("non-Marshaler payload must not encode")
+		t.Fatal("a payload of the wrong type must not encode")
 	}
-	huge := netsim.Message{Kind: "test", Payload: testPayload{E: make([]byte, MaxBody)}}
+	if _, err := EncodeFrame(netsim.Message{Kind: "empty", Payload: testPayload{}}, c); err == nil {
+		t.Fatal("a payload on a payload-less kind must not encode")
+	}
+	huge := netsim.Message{Kind: "test", Payload: testPayload{F: make([]int32, MaxBody/4)}}
 	if _, err := EncodeFrame(huge, c); err == nil || !strings.Contains(err.Error(), "MaxBody") {
 		t.Fatalf("oversize body must not encode, got %v", err)
 	}
@@ -114,7 +113,7 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 	c := testCodec()
 	good := mustEncode(t, netsim.Message{
 		From: 1, To: 2, Kind: "test", Size: 9,
-		Payload: testPayload{D: "x", E: []byte("y")},
+		Payload: testPayload{D: true, F: []int32{5}},
 	})
 	corrupt := func(name string, mutate func(b []byte) []byte) {
 		t.Helper()
@@ -138,13 +137,12 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 		binary.BigEndian.PutUint32(b[3:7], MaxBody+1)
 		return b
 	})
-	corrupt("string length past payload", func(b []byte) []byte {
-		// The u32 length prefix of payload field D sits after from/to/size/
-		// kindLen/kind and the three fixed u64 fields.
-		off := headerLen + 12 + 1 + len("test") + 24
-		binary.BigEndian.PutUint32(b[off:], 1<<30)
+	corrupt("slice count past payload", func(b []byte) []byte {
+		// F's u32 count follows A, B, C (8 bytes each), D and E.
+		binary.BigEndian.PutUint32(b[payloadAt+28:], 1<<30)
 		return b
 	})
+	corrupt("non-canonical bool", func(b []byte) []byte { b[payloadAt+24] = 0xFE; return b })
 
 	// An oversize announcement must be rejected before the body is read, so
 	// a hostile peer cannot make the node allocate or block on MaxBody+1
@@ -165,7 +163,7 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 func FuzzWireCodec(f *testing.F) {
 	c := testCodec()
 	f.Add(mustEncodeF(f, netsim.Message{From: 0, To: 1, Kind: "test", Size: 7,
-		Payload: testPayload{A: 1, B: -2, C: 3.5, D: "d", E: []byte{9}}}))
+		Payload: testPayload{A: 1, B: -2, C: 3.5, D: true, E: [3]byte{9}, F: []int32{4}, G: []pair{{K: 1, On: true}}}}))
 	f.Add(mustEncodeF(f, netsim.Message{From: 5, To: 0, Kind: "empty"}))
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, wireVersion, 0, 0, 0, 0})
@@ -183,6 +181,30 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:len(re)], re)
 		}
 	})
+}
+
+func TestRegisterRejectsUnlaidPayloads(t *testing.T) {
+	type unexported struct{ a int32 }
+	type platformInt struct{ N int }
+	type text struct{ S string }
+	type zeroWidth struct{ Z []struct{} }
+	for name, proto := range map[string]any{
+		"not a struct":         int32(1),
+		"unexported field":     unexported{},
+		"platform-sized int":   platformInt{},
+		"string field":         text{},
+		"zero-width slice":     zeroWidth{},
+		"type of another kind": testPayload{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Register accepted it", name)
+				}
+			}()
+			testCodec().Register("other", proto)
+		}()
+	}
 }
 
 func mustEncodeF(f *testing.F, msg netsim.Message) []byte {
