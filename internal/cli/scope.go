@@ -34,6 +34,7 @@ type Scope struct {
 
 	outDir       string
 	manifest     *obs.Manifest
+	journal      *obs.Journal
 	journalFile  *os.File
 	cpuFile      *os.File
 	heapPath     string
@@ -52,7 +53,6 @@ func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir strin
 		return s, nil // telemetry fully off: Rec stays nil, hot path pays one nil check
 	}
 
-	var journal *obs.Journal
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			return nil, err
@@ -62,10 +62,10 @@ func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir strin
 			return nil, err
 		}
 		s.journalFile = jf
-		journal = obs.NewJournal(jf)
+		s.journal = obs.NewJournal(jf)
 		s.manifest = obs.NewManifest(experiment, config, seed)
 	}
-	s.Rec = obs.NewRecorder(nil, journal)
+	s.Rec = obs.NewRecorder(nil, s.journal)
 
 	if f.Profile {
 		dir := outDir
@@ -99,7 +99,10 @@ func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir strin
 }
 
 // Close stops the progress reporter, finalizes the profiles, writes the run
-// manifest and closes the journal. Safe on a zero or nil Scope.
+// manifest and closes the journal. A journal write that failed during the
+// run (disk full, closed file) fails Close, so the binary exits non-zero
+// instead of leaving a truncated journal.jsonl behind a complete-looking
+// run.json. Safe on a zero or nil Scope.
 func (s *Scope) Close() error {
 	if s == nil {
 		return nil
@@ -134,6 +137,9 @@ func (s *Scope) Close() error {
 			fmt.Fprintf(s.logw, "wrote %s\n", path)
 		}
 		s.manifest = nil
+	}
+	if err := s.journal.Err(); err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("journal.jsonl: %w", err)
 	}
 	if err := s.closeFiles(); err != nil && firstErr == nil {
 		firstErr = err

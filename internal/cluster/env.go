@@ -20,10 +20,11 @@ type Env struct {
 	Now time.Duration
 	DC  *dc.DataCenter
 	Rec *Recorder
-	// Pool is the run's fork-join worker pool (nil when RunConfig.Workers
-	// is 0). Policies may shard read-only per-server fan-outs across it —
-	// e.g. evaluating utilization over an invited set — under internal/par's
-	// determinism contract: per-item slots, ordered reduction, per-item rng.
+	// Pool is the run's fork-join worker pool, never nil under Run (it
+	// runs inline when RunConfig.Workers is 0 or 1). Policies may shard
+	// read-only per-server fan-outs across it — e.g. evaluating utilization
+	// over an invited set — under internal/par's determinism contract:
+	// per-item slots, ordered reduction, per-item rng.
 	Pool *par.Pool
 }
 

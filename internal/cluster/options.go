@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -10,33 +9,24 @@ import (
 
 // Option mutates a RunConfig before Run validates it. Options are the only
 // way to set the attachments that are not part of a run's identity —
-// telemetry sinks, journals, checkpoints — so call sites read as
+// telemetry, checkpoints — so call sites read as
 //
-//	cluster.Run(cfg, policy, cluster.WithObs(rec), cluster.WithEventLog(w))
+//	cluster.Run(cfg, policy, cluster.WithObs(rec))
 //
 // with cfg carrying only the simulation itself (fleet, workload, horizon,
 // cadences, power model).
 type Option func(*RunConfig)
 
 // WithObs attaches a telemetry recorder to the run: engine metrics (events,
-// queue depth, handler wall time), cluster counters (assignments, removals,
-// migrations by kind, activations, hibernations, overload ticks), live
-// gauges (sim time, active servers), and — when the recorder carries a
-// journal — one JSONL event per policy-driven data-center mutation (setup
-// pre-placement is excluded, like WithEventLog). A nil recorder costs the
-// run nothing.
+// queue depth, handler wall time), one cluster.* counter per data-center
+// mutation kind (see dc.EventKind.Counter), overload ticks, live gauges (sim
+// time, active servers) and — when the recorder carries a journal — one
+// obs.Line per mutation, the same schema protocol.New writes. Setup
+// pre-placement (SpreadRoundRobin) is scenario construction, not policy
+// behaviour: neither the counters nor the journal see it. A nil recorder
+// costs the run nothing.
 func WithObs(r *obs.Recorder) Option {
 	return func(c *RunConfig) { c.obs = r }
-}
-
-// WithEventLog streams one JSON line per data-center mutation to w:
-// {"t_ns":..., "kind":"place|remove|migrate|activate|hibernate",
-// "vm":..., "server":..., "dest":...}. Useful for debugging policies and for
-// external analysis; adds encoding cost per event. Setup mutations (the
-// SpreadRoundRobin pre-placement) are not journaled: the log reflects policy
-// behaviour only, matching the counters. A nil writer journals nothing.
-func WithEventLog(w io.Writer) Option {
-	return func(c *RunConfig) { c.eventLog = w }
 }
 
 // WithCheckpointAt makes Run capture a full checkpoint at the end of the

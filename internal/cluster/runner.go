@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -58,15 +56,14 @@ type RunConfig struct {
 	PowerModel dc.PowerModel
 	Initial    InitialPlacement
 
-	// Workers selects the execution engine for the per-server work of each
-	// control round (demand refill, overload observation, checked-mode
-	// audits, utilization sampling). 0 — the default — is the pristine
-	// sequential path. N >= 1 routes that work through an internal/par pool
-	// with N workers; results are bit-identical to sequential at every
-	// worker count (see DESIGN.md "Parallel execution & determinism"), so
-	// the only observable difference is wall-clock time. Workers=1 runs the
-	// par code path inline, which is what the differential tests pin against
-	// both Workers=0 and Workers=8.
+	// Workers sizes the internal/par pool that runs the per-server work of
+	// each control round (demand prewarm, overload observation, checked-mode
+	// audits, utilization sampling). 0 (the default) and 1 run its shards
+	// inline on the engine goroutine; N >= 2 fans them out to N workers.
+	// Results are bit-identical at every worker count (see
+	// DESIGN.md "Parallel execution & determinism"), so the only observable
+	// difference is wall-clock time; the differential tests pin Workers=0,
+	// 1 and 8 against each other.
 	Workers int
 
 	// RecordServerUtil stores a per-server utilization sample matrix
@@ -83,7 +80,6 @@ type RunConfig struct {
 
 	// Run attachments, set only through the With* options (see Option).
 	obs            *obs.Recorder
-	eventLog       io.Writer
 	checkpointAt   time.Duration
 	checkpointSink func(*checkpoint.Checkpoint) error
 	checkpointStop bool
@@ -185,51 +181,6 @@ type Result struct {
 	DemandCache dc.DemandCacheStats
 }
 
-// journalLine is the WithEventLog wire format.
-type journalLine struct {
-	TNS    int64  `json:"t_ns"`
-	Kind   string `json:"kind"`
-	VM     int    `json:"vm"`
-	Server int    `json:"server"`
-	Dest   int    `json:"dest"`
-}
-
-// observeDCEvent counts one data-center mutation into the telemetry
-// recorder and mirrors it to the recorder's JSONL journal.
-func observeDCEvent(r *obs.Recorder, now time.Duration, e dc.Event) {
-	if !r.Enabled() {
-		return
-	}
-	switch e.Kind {
-	case dc.EventPlace:
-		r.Count("cluster.assignments", 1)
-	case dc.EventRemove:
-		r.Count("cluster.removals", 1)
-	case dc.EventMigrate:
-		r.Count("cluster.migrations", 1)
-	case dc.EventActivate:
-		r.Count("cluster.wakeups", 1)
-	case dc.EventHibernate:
-		r.Count("cluster.hibernations", 1)
-	case dc.EventFail:
-		r.Count("cluster.failures", 1)
-	case dc.EventRecover:
-		r.Count("cluster.recoveries", 1)
-	case dc.EventCrashEvict:
-		r.Count("cluster.crash_evictions", 1)
-	}
-	if r.Journaling() {
-		fields := map[string]any{"server": e.Server}
-		if e.VM >= 0 {
-			fields["vm"] = e.VM
-		}
-		if e.Dest >= 0 {
-			fields["dest"] = e.Dest
-		}
-		r.Emit(now, string(e.Kind), fields)
-	}
-}
-
 // Run executes the workload against the policy and collects metrics.
 // Options are applied to cfg before validation; see Option for the
 // attachments available.
@@ -280,16 +231,12 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	eng := sim.New()
 	eng.SetRecorder(cfg.obs)
 
-	// Fork-join pool for the per-server work of each control round. nil when
-	// Workers is 0, which keeps every existing sequential code path (and its
-	// goldens) untouched. The pool lives for the whole run; each tick's
+	// Fork-join pool for the per-server work of each control round (inline
+	// at Workers 0 and 1). The pool lives for the whole run; each tick's
 	// fan-outs join before the tick handler returns, so the engine's
 	// single-threaded execution model is preserved.
-	var pool *par.Pool
-	if cfg.Workers > 0 {
-		pool = par.New(cfg.Workers)
-		defer pool.Close()
-	}
+	pool := par.New(cfg.Workers)
+	defer pool.Close()
 
 	res := &Result{
 		Policy:                policy.Name(),
@@ -319,7 +266,6 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// Initial placement. A resumed run restores placements from the
 	// checkpoint instead; the scenario-construction phase happened in the
 	// captured run's own prefix.
-	preplaced := map[int]bool{}
 	if resume == nil && cfg.Initial == SpreadRoundRobin {
 		// Activate everything with ActivatedAt far in the past (no grace).
 		for _, s := range d.Servers {
@@ -337,35 +283,14 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			if err := d.Place(vm, d.Servers[i%len(d.Servers)]); err != nil {
 				return nil, err
 			}
-			preplaced[vm.ID] = true
 			i++
 		}
 	}
 
-	// The journal goes in only after initial placement: setup mutations are
-	// scenario construction, not policy behaviour, and counting them used to
-	// inflate cluster.assignments / cluster.wakeups and pollute the JSONL
-	// journal on SpreadRoundRobin runs even though d.Activations was reset.
-	var enc *json.Encoder
-	if cfg.eventLog != nil {
-		enc = json.NewEncoder(cfg.eventLog)
-	}
-	if enc != nil || cfg.obs.Enabled() {
-		d.SetJournal(func(e dc.Event) {
-			if enc != nil {
-				// Encoding errors must not corrupt the simulation; the
-				// journal is best-effort observability.
-				_ = enc.Encode(journalLine{
-					TNS:    int64(eng.Now()),
-					Kind:   string(e.Kind),
-					VM:     e.VM,
-					Server: e.Server,
-					Dest:   e.Dest,
-				})
-			}
-			observeDCEvent(cfg.obs, eng.Now(), e)
-		})
-	}
+	// Telemetry goes in only after initial placement: setup mutations are
+	// scenario construction, not policy behaviour, so neither the cluster.*
+	// counters nor the journal see them.
+	d.SetRecorder(cfg.obs, eng.Now)
 
 	// Arrival and departure events. A resumed run schedules only the events
 	// strictly after the capture point: earlier arrivals are embodied in the
@@ -384,7 +309,9 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 				continue
 			}
 		}
-		if vm.Start > resumeAt || (resume == nil && !preplaced[vm.ID]) {
+		// A fresh run's t=0 VMs arrive through the policy unless
+		// SpreadRoundRobin pre-placed them above.
+		if vm.Start > resumeAt || (resume == nil && cfg.Initial != SpreadRoundRobin) {
 			eng.Schedule(vm.Start, "arrival", func(e *sim.Engine) {
 				policy.OnArrival(Env{Now: e.Now(), DC: d, Rec: rec, Pool: pool}, vm)
 			})
@@ -425,33 +352,22 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	}
 
 	// Per-tick scratch, allocated once per run: the observation is computed
-	// into slots (phase A — with a pool, workers fill disjoint spans via
-	// dc.ObserveSpan; without one, a single span fills inline) and folded
-	// sequentially in server-index order (phase B), reproducing the
-	// sequential loop's float-operation order exactly.
+	// into slots (phase A — the pool's shards fill disjoint spans via
+	// dc.ObserveSpan) and folded sequentially in server-index order (phase
+	// B), reproducing the sequential loop's float-operation order exactly.
 	nServers := len(d.Servers)
 	slots := make([]dc.TickSample, nServers)
 	observe := func(now time.Duration) {
-		if pool.Parallel() {
-			pool.Range(nServers, func(sp par.Span) {
-				d.ObserveSpan(sp.Lo, sp.Hi, now, slots[sp.Lo:sp.Hi])
-			})
-		} else {
-			d.ObserveSpan(0, nServers, now, slots)
-		}
+		pool.Range(nServers, func(sp par.Span) {
+			d.ObserveSpan(sp.Lo, sp.Hi, now, slots[sp.Lo:sp.Hi])
+		})
 	}
-	var demandScratch []float64
-	if pool != nil {
-		demandScratch = make([]float64, len(cfg.Workload.VMs))
-	}
-	// totalDemandAt mirrors trace.Set.TotalDemandAt; with a pool the pure
-	// per-VM lookups fan out to workers as spans (one bounds-checked loop per
-	// shard, not one closure per VM) and the fold stays sequential in slice
-	// order, so the sum is bit-identical.
+	demandScratch := make([]float64, len(cfg.Workload.VMs))
+	// totalDemandAt mirrors trace.Set.TotalDemandAt: the pure per-VM lookups
+	// run as pool spans (one bounds-checked loop per shard, not one closure
+	// per VM) and the fold stays sequential in slice order, so the sum is
+	// bit-identical.
 	totalDemandAt := func(now time.Duration) float64 {
-		if pool == nil {
-			return cfg.Workload.TotalDemandAt(now)
-		}
 		ws := cfg.Workload.VMs
 		pool.Range(len(ws), func(sp par.Span) {
 			for i := sp.Lo; i < sp.Hi; i++ {
@@ -476,36 +392,29 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// violation time; what we count is the overload that persists.
 	controlTick := func(e *sim.Engine) {
 		now := e.Now()
-		if pool != nil {
-			// Prewarm: refill every active server's demand aggregate across
-			// the workers so the sequential scans that follow (the policy's
-			// decision loop, the energy integral) run on cache hits. The
-			// warmed value is bit-identical to what a miss would install,
-			// and the warm itself is uncounted, so only the hit/miss split
-			// shifts versus Workers=0 — never a result.
-			pool.Range(nServers, func(sp par.Span) {
-				d.WarmSpan(sp.Lo, sp.Hi, now)
-			})
-		}
+		// Prewarm: refill every active server's demand aggregate across the
+		// pool so the sequential scans that follow (the policy's decision
+		// loop, the energy integral) run on cache hits. The warmed value is
+		// bit-identical to what a miss would install and the warm itself is
+		// uncounted, so it moves the cache's hit/miss split — never a
+		// result, nor the hit+miss total.
+		pool.Range(nServers, func(sp par.Span) {
+			d.WarmSpan(sp.Lo, sp.Hi, now)
+		})
 		policy.OnControl(Env{Now: now, DC: d, Rec: rec, Pool: pool})
 		if d.Checked() {
 			// Structural invariants are verified per mutation in checked
 			// mode; the numeric audit is per control tick — sharded across
-			// the pool when one exists, with the first error in server-index
-			// order reported, like the sequential sweep.
-			if pool.Parallel() {
-				spans := par.Shards(nServers)
-				errs := make([]error, len(spans))
-				pool.Range(nServers, func(sp par.Span) {
-					errs[sp.Index] = d.AuditSpan(sp.Lo, sp.Hi, now)
-				})
-				for _, err := range errs {
-					if err != nil {
-						panic(fmt.Sprintf("cluster: control tick at %v: %v", now, err))
-					}
+			// the pool, with the first error in server-index order reported,
+			// like a sequential sweep.
+			errs := make([]error, len(par.Shards(nServers)))
+			pool.Range(nServers, func(sp par.Span) {
+				errs[sp.Index] = d.AuditSpan(sp.Lo, sp.Hi, now)
+			})
+			for _, err := range errs {
+				if err != nil {
+					panic(fmt.Sprintf("cluster: control tick at %v: %v", now, err))
 				}
-			} else if err := d.AuditSpan(0, nServers, now); err != nil {
-				panic(fmt.Sprintf("cluster: control tick at %v: %v", now, err))
 			}
 		}
 		observe(now)
@@ -598,13 +507,9 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 
 		if cfg.RecordServerUtil {
 			row := make([]float64, nServers)
-			if pool.Parallel() {
-				pool.Range(nServers, func(sp par.Span) {
-					d.UtilSpan(sp.Lo, sp.Hi, now, row[sp.Lo:sp.Hi])
-				})
-			} else {
-				d.UtilSpan(0, nServers, now, row)
-			}
+			pool.Range(nServers, func(sp par.Span) {
+				d.UtilSpan(sp.Lo, sp.Hi, now, row[sp.Lo:sp.Hi])
+			})
 			res.SampleTimes = append(res.SampleTimes, now)
 			res.ServerUtil = append(res.ServerUtil, row)
 		}

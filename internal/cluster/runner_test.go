@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -246,35 +247,32 @@ func TestRunEnergyIntegratesExactHorizon(t *testing.T) {
 
 // SpreadRoundRobin setup (activating the whole fleet and pre-placing the
 // t=0 VMs) is scenario construction, not policy behaviour: the telemetry
-// counters and the JSONL journal must not see it.
+// counters and the journal must not see it.
 func TestRunSpreadRoundRobinTelemetryClean(t *testing.T) {
 	vms := make([]*trace.VM, 8)
 	for i := range vms {
 		vms[i] = constVM(i, 1000, 0, 3*time.Hour)
 	}
 	ws := &trace.Set{RefCapacityMHz: 8000, VMs: vms}
-	var jbuf, ebuf bytes.Buffer
+	var jbuf bytes.Buffer
 	cfg := baseConfig(ws)
 	cfg.Initial = cluster.SpreadRoundRobin
 	rec := obs.NewRecorder(nil, obs.NewJournal(&jbuf))
-	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithObs(rec), cluster.WithEventLog(&ebuf)); err != nil {
+	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithObs(rec)); err != nil {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()
 	if snap.Counters["sim.events"] == 0 {
 		t.Fatal("the WithObs recorder saw no engine events")
 	}
-	for _, name := range []string{"cluster.assignments", "cluster.wakeups"} {
-		if n := snap.Counters[name]; n != 0 {
-			t.Errorf("%s = %d after setup-only run, want 0", name, n)
+	for _, k := range eventKinds {
+		if n := snap.Counters[k.Counter()]; n != 0 {
+			t.Errorf("%s = %d after setup-only run, want 0", k.Counter(), n)
 		}
 	}
-	// The stuffer policy performs no mutations, so both journals stay empty.
+	// The stuffer policy performs no mutations, so the journal stays empty.
 	if jbuf.Len() != 0 {
-		t.Errorf("obs journal has %d bytes of setup events", jbuf.Len())
-	}
-	if ebuf.Len() != 0 {
-		t.Errorf("event log has %d bytes of setup events", ebuf.Len())
+		t.Errorf("journal has %d bytes of setup events", jbuf.Len())
 	}
 }
 
@@ -419,10 +417,10 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 		a.TotalActivations != b.TotalActivations {
 		t.Fatalf("identical runs diverged: %+v vs %+v", a, b)
 	}
-	// A nil recorder and a nil writer attach nothing: the Result equals the
-	// option-free run's in every field.
-	if c := run(cluster.WithObs(nil), cluster.WithEventLog(nil)); !reflect.DeepEqual(a, c) {
-		t.Fatalf("WithObs(nil)/WithEventLog(nil) changed the result: %+v vs %+v", a, c)
+	// A nil recorder attaches nothing: the Result equals the option-free
+	// run's in every field.
+	if c := run(cluster.WithObs(nil)); !reflect.DeepEqual(a, c) {
+		t.Fatalf("WithObs(nil) changed the result: %+v vs %+v", a, c)
 	}
 }
 
@@ -531,9 +529,10 @@ func TestSoakWeekLong(t *testing.T) {
 	}
 }
 
-// The event journal must reconstruct the run: every placement, departure,
-// migration and switch appears exactly once, in timestamp order, and the
-// replayed placement state matches the counters.
+// The journal must reconstruct the run: every placement, departure,
+// migration and switch appears exactly once, in timestamp order, as one
+// obs.Line; the replayed placement state matches the Result; and each
+// cluster.* counter equals its kind's line count.
 func TestRunEventJournal(t *testing.T) {
 	gcfg := trace.DefaultGenConfig()
 	gcfg.NumVMs = 80
@@ -555,26 +554,17 @@ func TestRunEventJournal(t *testing.T) {
 		SampleInterval:  30 * time.Minute,
 		PowerModel:      dc.DefaultPowerModel(),
 	}
-	res, err := cluster.Run(cfg, pol, cluster.WithEventLog(&buf))
+	rec := obs.NewRecorder(nil, obs.NewJournal(&buf))
+	res, err := cluster.Run(cfg, pol, cluster.WithObs(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	type line struct {
-		TNS    int64  `json:"t_ns"`
-		Kind   string `json:"kind"`
-		VM     int    `json:"vm"`
-		Server int    `json:"server"`
-		Dest   int    `json:"dest"`
-	}
+	lines := decodeJournal(t, &buf)
+	checkJournalCounters(t, rec, lines)
 	counts := map[string]int{}
 	lastT := int64(-1)
 	placed := map[int]int{} // vm -> server, replayed
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var l line
-		if err := dec.Decode(&l); err != nil {
-			t.Fatal(err)
-		}
+	for _, l := range lines {
 		if l.TNS < lastT {
 			t.Fatalf("journal out of order: %d after %d", l.TNS, lastT)
 		}
@@ -610,5 +600,45 @@ func TestRunEventJournal(t *testing.T) {
 	// count must match the final state.
 	if len(placed) != 80 {
 		t.Fatalf("replayed placements = %d", len(placed))
+	}
+}
+
+// eventKinds lists every dc.EventKind, for the counter/journal agreement
+// checks.
+var eventKinds = []dc.EventKind{
+	dc.EventPlace, dc.EventRemove, dc.EventMigrate, dc.EventActivate,
+	dc.EventHibernate, dc.EventFail, dc.EventRecover, dc.EventCrashEvict,
+}
+
+// decodeJournal decodes a journal line by line into the one schema; an
+// unknown or mistyped field fails the test.
+func decodeJournal(t *testing.T, r io.Reader) []obs.Line {
+	t.Helper()
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var lines []obs.Line
+	for dec.More() {
+		var l obs.Line
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("journal line %d: %v", len(lines), err)
+		}
+		lines = append(lines, l)
+	}
+	return lines
+}
+
+// checkJournalCounters asserts that each kind's cluster.* counter equals the
+// number of journal lines of that kind.
+func checkJournalCounters(t *testing.T, rec *obs.Recorder, lines []obs.Line) {
+	t.Helper()
+	perKind := map[string]int64{}
+	for _, l := range lines {
+		perKind[l.Kind]++
+	}
+	counters := rec.Snapshot().Counters
+	for _, k := range eventKinds {
+		if got, want := counters[k.Counter()], perKind[string(k)]; got != want {
+			t.Errorf("%s = %d, journal has %d %q lines", k.Counter(), got, want, k)
+		}
 	}
 }

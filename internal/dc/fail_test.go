@@ -2,9 +2,11 @@ package dc
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -131,25 +133,43 @@ func TestFailJournalEvents(t *testing.T) {
 	if err := d.Place(constVM(7, 500), s); err != nil {
 		t.Fatal(err)
 	}
-	var got []Event
-	d.SetJournal(func(e Event) { got = append(got, e) })
+	var buf bytes.Buffer
+	rec := obs.NewRecorder(nil, obs.NewJournal(&buf))
+	d.SetRecorder(rec, func() time.Duration { return time.Minute })
 	if _, err := d.Fail(s, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Recover(s, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	want := []Event{
-		{Kind: EventCrashEvict, VM: 7, Server: 0, Dest: -1},
-		{Kind: EventFail, VM: -1, Server: 0, Dest: -1},
-		{Kind: EventRecover, VM: -1, Server: 0, Dest: -1},
+	at := int64(time.Minute)
+	want := []obs.Line{
+		{TNS: at, Kind: string(EventCrashEvict), VM: 7, Server: 0, Dest: -1},
+		{TNS: at, Kind: string(EventFail), VM: -1, Server: 0, Dest: -1},
+		{TNS: at, Kind: string(EventRecover), VM: -1, Server: 0, Dest: -1},
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	var got []obs.Line
+	for dec.More() {
+		var l obs.Line
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, l)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("events = %v", got)
+		t.Fatalf("journal = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, got[i], want[i])
+			t.Fatalf("line %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	counters := rec.Snapshot().Counters
+	for _, k := range []EventKind{EventCrashEvict, EventFail, EventRecover} {
+		if n := counters[k.Counter()]; n != 1 {
+			t.Errorf("%s = %d, want 1", k.Counter(), n)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			// Uninterrupted truth.
 			var full bytes.Buffer
 			cfg, pol := soaGoldenConfig(t, seed, workers)
-			fullRes, err := cluster.Run(cfg, pol, cluster.WithEventLog(&full))
+			fullRes, err := cluster.Run(cfg, pol, journalTo(&full))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: uninterrupted: %v", seed, workers, err)
 			}
@@ -37,7 +37,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			var prefix bytes.Buffer
 			cfgP, polP := soaGoldenConfig(t, seed, workers)
 			var ck *checkpoint.Checkpoint
-			if _, err := cluster.Run(cfgP, polP, cluster.WithEventLog(&prefix),
+			if _, err := cluster.Run(cfgP, polP, journalTo(&prefix),
 				cluster.WithCheckpointAt(cut, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
 				cluster.WithCheckpointStop(),
 			); err != nil {
@@ -61,7 +61,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			// Resume to the horizon.
 			var suffix bytes.Buffer
 			cfgR, polR := soaGoldenConfig(t, seed, workers)
-			resumedRes, err := cluster.Run(cfgR, polR, cluster.WithEventLog(&suffix), cluster.WithResume(decoded))
+			resumedRes, err := cluster.Run(cfgR, polR, journalTo(&suffix), cluster.WithResume(decoded))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: resume: %v", seed, workers, err)
 			}
@@ -85,7 +85,7 @@ func TestCheckpointCaptureIsPure(t *testing.T) {
 	seed := soaGoldenSeeds[0]
 	var plain bytes.Buffer
 	cfg, pol := soaGoldenConfig(t, seed, 0)
-	plainRes, err := cluster.Run(cfg, pol, cluster.WithEventLog(&plain))
+	plainRes, err := cluster.Run(cfg, pol, journalTo(&plain))
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestCheckpointCaptureIsPure(t *testing.T) {
 	var observed bytes.Buffer
 	cfgC, polC := soaGoldenConfig(t, seed, 0)
 	captured := false
-	capRes, err := cluster.Run(cfgC, polC, cluster.WithEventLog(&observed),
+	capRes, err := cluster.Run(cfgC, polC, journalTo(&observed),
 		cluster.WithCheckpointAt(2*time.Hour, func(*checkpoint.Checkpoint) error {
 			captured = true
 			return nil

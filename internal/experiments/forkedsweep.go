@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -89,6 +90,12 @@ type ForkedSweepResult struct {
 	ProofBytes int
 }
 
+// journalTo attaches a recorder whose journal writes the run's data-center
+// mutations to w, one obs.Line per line.
+func journalTo(w io.Writer) cluster.Option {
+	return cluster.WithObs(obs.NewRecorder(nil, obs.NewJournal(w)))
+}
+
 // fingerprintResult serializes everything the fork proof compares: every
 // sampled series with hex-exact floats, the aggregates, and the event
 // journal verbatim.
@@ -155,7 +162,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cluster.Run(base, basePol, cluster.WithEventLog(&prefixLog),
+	if _, err := cluster.Run(base, basePol, journalTo(&prefixLog),
 		cluster.WithCheckpointAt(opts.Warmup, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
 		cluster.WithCheckpointStop(),
 	); err != nil {
@@ -168,7 +175,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratchRes, err := cluster.Run(base, scratchPol, cluster.WithEventLog(&scratchLog))
+	scratchRes, err := cluster.Run(base, scratchPol, journalTo(&scratchLog))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: forkedsweep scratch run: %v", err)
 	}
@@ -176,7 +183,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 
 	// One branched cell: fork the checkpoint (empty label = identity,
 	// otherwise a deterministic rng re-seed) and resume under cfg.
-	runBranch := func(cfg ecocloud.Config, label string, events io.Writer) (*cluster.Result, error) {
+	runBranch := func(cfg ecocloud.Config, label string, attach ...cluster.Option) (*cluster.Result, error) {
 		branch, err := ck.Fork(label)
 		if err != nil {
 			return nil, err
@@ -185,13 +192,13 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.Run(base, pol, cluster.WithEventLog(events), cluster.WithResume(branch))
+		return cluster.Run(base, pol, append(attach, cluster.WithResume(branch))...)
 	}
 
 	// Proof leg 2: the identity-forked base cell must reproduce leg 1's
 	// bytes exactly, with the prefix journal spliced before the suffix one.
 	var suffixLog bytes.Buffer
-	forkRes, err := runBranch(opts.Base, "", &suffixLog)
+	forkRes, err := runBranch(opts.Base, "", journalTo(&suffixLog))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: forkedsweep proof cell: %v", err)
 	}
@@ -237,7 +244,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	}
 	cells := make([]ForkedSweepPoint, len(jobs))
 	err = forEach(len(jobs), func(i int) error {
-		res, err := runBranch(jobs[i].cfg, jobs[i].label, nil)
+		res, err := runBranch(jobs[i].cfg, jobs[i].label)
 		if err != nil {
 			return fmt.Errorf("experiments: forkedsweep %s=%v: %v", jobs[i].param, jobs[i].value, err)
 		}

@@ -14,7 +14,7 @@ import (
 // The parscale experiment extends the scalability story past the protocol
 // study's fleets (footnote 1 tops out near 4,000 servers) to 50k–100k
 // servers, and is the proving ground for the deterministic parallel control
-// round: every fleet size runs once sequentially (Workers=0) and once per
+// round: every fleet size runs once inline (Workers=0) and once per
 // configured worker count, and the experiment *verifies* — not assumes —
 // that all runs are bit-identical before reporting the baseline's numbers.
 //
@@ -221,7 +221,7 @@ func ParScale(opts ParScaleOptions) ([]ParScalePoint, error) {
 			}
 			if baseline == nil {
 				// The first configured count anchors parity; the default
-				// sweep puts 0 (the pristine sequential engine) first.
+				// sweep puts 0 (the inline pool) first.
 				baseline = res
 			} else if err := SameResult(baseline, res); err != nil {
 				return nil, fmt.Errorf("experiments: parscale %d servers: Workers=%d diverged from Workers=%d: %v",

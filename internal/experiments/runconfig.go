@@ -21,7 +21,7 @@ type RunConfig struct {
 	Seed    uint64        `json:"seed"`    // master seed
 
 	// Workers routes the per-server control-round work through an
-	// internal/par pool with that many workers (0 = sequential). Results
+	// internal/par pool with that many workers (0 and 1 run inline). Results
 	// are bit-identical at every worker count, so Workers is a throughput
 	// knob, not part of the experiment's identity; it still appears in
 	// manifests so a recorded run names the engine it used.

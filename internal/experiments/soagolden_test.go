@@ -28,8 +28,8 @@ import (
 var updateSoAGolden = flag.Bool("update-soa-golden", false, "rewrite the SoA differential goldens")
 
 // soaGoldenSeeds and soaGoldenWorkers span the differential matrix. Workers
-// 0 (pristine sequential), 1 (pool code path, inline) and 8 (real fan-out)
-// must all reproduce the same bytes.
+// 0 (the default), 1 (both inline) and 8 (real fan-out) must all reproduce
+// the same bytes.
 var (
 	soaGoldenSeeds   = []uint64{42, 43, 44}
 	soaGoldenWorkers = []int{0, 1, 8}
@@ -127,7 +127,7 @@ func TestSoAGoldenDifferential(t *testing.T) {
 		for _, workers := range soaGoldenWorkers {
 			var events bytes.Buffer
 			cfg, pol := soaGoldenConfig(t, seed, workers)
-			res, err := cluster.Run(cfg, pol, cluster.WithEventLog(&events))
+			res, err := cluster.Run(cfg, pol, journalTo(&events))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
 	"sync"
@@ -122,11 +123,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Gauge("x", 1)
 	r.GaugeMax("x", 1)
 	r.Observe("x", time.Second)
-	r.Emit(0, "x", nil)
+	r.Log(Line{Kind: "x"})
 	r.SampleMemory()
-	if r.Journaling() {
-		t.Error("nil recorder reports journaling")
-	}
 	if s := r.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Timers != nil {
 		t.Errorf("nil recorder snapshot = %+v, want zero", s)
 	}
@@ -139,23 +137,59 @@ func TestJournalJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
 	r := NewRecorder(nil, j)
-	r.Emit(30*time.Minute, "migrate", map[string]any{"vm": 4, "server": 1, "dest": 2})
-	r.Emit(time.Hour, "hibernate", map[string]any{"server": 1})
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("journal lines = %d, want 2: %q", len(lines), buf.String())
+	r.Log(Line{TNS: int64(30 * time.Minute), Kind: "migrate", VM: 4, Server: 1, Dest: 2})
+	r.Log(Line{TNS: int64(time.Hour), Kind: "hibernate", VM: -1, Server: 1, Dest: -1})
+	const want = `{"t_ns":1800000000000,"kind":"migrate","vm":4,"server":1,"dest":2}
+{"t_ns":3600000000000,"kind":"hibernate","vm":-1,"server":1,"dest":-1}
+`
+	if buf.String() != want {
+		t.Fatalf("journal =\n%s\nwant\n%s", buf.String(), want)
 	}
-	var got struct {
-		TSimNS int64  `json:"t_sim_ns"`
-		Kind   string `json:"kind"`
-		VM     int    `json:"vm"`
-		Dest   int    `json:"dest"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	var got Line
+	if err := dec.Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.TSimNS != int64(30*time.Minute) || got.Kind != "migrate" || got.VM != 4 || got.Dest != 2 {
+	if got != (Line{TNS: int64(30 * time.Minute), Kind: "migrate", VM: 4, Server: 1, Dest: 2}) {
 		t.Errorf("journal line = %+v", got)
+	}
+	if err := j.Err(); err != nil {
+		t.Errorf("Err = %v on a healthy journal", err)
+	}
+}
+
+// failingWriter accepts ok writes, then fails every later one.
+type failingWriter struct{ ok int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errDiskFull
+	}
+	w.ok--
+	return len(p), nil
+}
+
+// A journal cut short must say so: the first write error is kept for Err,
+// and nothing is written after it.
+func TestJournalKeepsFirstError(t *testing.T) {
+	w := &failingWriter{ok: 1}
+	j := NewJournal(w)
+	r := NewRecorder(nil, j)
+	r.Log(Line{Kind: "place"})
+	if err := j.Err(); err != nil {
+		t.Fatalf("Err = %v after a successful write", err)
+	}
+	r.Log(Line{Kind: "remove"})
+	r.Log(Line{Kind: "remove"})
+	if err := j.Err(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Err = %v, want %v", err, errDiskFull)
+	}
+	var nilJournal *Journal
+	if nilJournal.Err() != nil {
+		t.Error("nil journal reports an error")
 	}
 }
 

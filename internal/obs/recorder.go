@@ -96,18 +96,13 @@ func (r *Recorder) StartTimer(name string) (stop func()) {
 	}
 }
 
-// Emit writes one event to the journal, if one is attached. simTime is the
-// virtual timestamp; fields holds event-specific key/values (may be nil).
-func (r *Recorder) Emit(simTime time.Duration, kind string, fields map[string]any) {
-	if r == nil || r.journal == nil {
+// Log writes one line to the journal, if one is attached.
+func (r *Recorder) Log(l Line) {
+	if r == nil {
 		return
 	}
-	r.journal.Emit(simTime, kind, fields)
+	r.journal.Log(l)
 }
-
-// Journaling reports whether Emit would write anywhere; callers building
-// non-trivial field maps can skip the work when it would be dropped.
-func (r *Recorder) Journaling() bool { return r != nil && r.journal != nil }
 
 // SampleMemory reads the Go heap and updates the mem.heap_alloc_bytes gauge
 // and the mem.heap_peak_bytes high-water mark. Call it at a coarse cadence

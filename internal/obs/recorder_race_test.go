@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +32,7 @@ func TestRecorderConcurrentHammer(t *testing.T) {
 				stop := rec.StartTimer("hammer.walltimer")
 				stop()
 				if i%100 == 0 {
-					rec.Emit(time.Duration(i), "hammer", map[string]any{"g": g})
+					rec.Log(Line{TNS: int64(i), Kind: "hammer", VM: -1, Server: g, Dest: -1})
 					rec.Snapshot()
 				}
 			}
@@ -51,7 +51,21 @@ func TestRecorderConcurrentHammer(t *testing.T) {
 	if got, want := timer.Count, int64(goroutines*iters); got != want {
 		t.Errorf("timer lost observations: got %d, want %d", got, want)
 	}
-	if got, want := strings.Count(buf.String(), "\n"), goroutines*iters/100; got != want {
-		t.Errorf("journal lines: got %d, want %d", got, want)
+	// Every line must decode whole: concurrent Logs never interleave bytes.
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	lines := 0
+	for dec.More() {
+		var l Line
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("journal line %d: %v", lines, err)
+		}
+		if l.Kind != "hammer" {
+			t.Fatalf("journal line %d = %+v", lines, l)
+		}
+		lines++
+	}
+	if want := goroutines * iters / 100; lines != want {
+		t.Errorf("journal lines: got %d, want %d", lines, want)
 	}
 }

@@ -98,7 +98,7 @@ type Config struct {
 
 	// Workers shards the migration scan's per-server decision phase (demand
 	// read + Bernoulli trial on the server's private stream) across an
-	// internal/par pool (0 = no goroutines). The hibernations and MIGREQ
+	// internal/par pool (0 and 1 = no goroutines). The hibernations and MIGREQ
 	// sends those decisions trigger are applied afterwards in server-index
 	// order, so message traffic — and therefore every downstream draw and
 	// event — is bit-identical at every worker count.
@@ -106,7 +106,8 @@ type Config struct {
 
 	// Obs, when set, receives protocol telemetry: placements, wake-ups,
 	// migrations by kind, saturations, placement latency, plus the engine
-	// metrics and — with a journal attached — data-center mutation events.
+	// metrics and, through dc.DataCenter.SetRecorder, the same cluster.*
+	// mutation counters and journal lines (obs.Line) as cluster.WithObs.
 	// Nil (the default) costs the message handlers nothing.
 	Obs *obs.Recorder `json:"-"`
 }
@@ -295,9 +296,9 @@ type Cluster struct {
 	gate     WakeGate
 	onPlaced func(vmID int, now time.Duration)
 
-	// pool shards the migration scan's decision phase (nil when cfg.Workers
-	// is 0); scan is its per-tick decision buffer, index-parallel to
-	// dc.Servers.
+	// pool shards the migration scan's decision phase (inline when
+	// cfg.Workers is 0 or 1); scan is its per-tick decision buffer,
+	// index-parallel to dc.Servers.
 	pool *par.Pool
 	scan []scanDecision
 
@@ -342,6 +343,7 @@ func New(cfg Config, specs []dc.Spec, seed uint64) (*Cluster, error) {
 		dc:           dc.New(specs),
 		mgr:          master.Split("manager"),
 		servers:      make(map[int]*rng.Source, len(specs)),
+		pool:         par.New(cfg.Workers),
 		scan:         make([]scanDecision, len(specs)),
 		rounds:       make(map[int]*round),
 		inflight:     make(map[int]bool),
@@ -355,32 +357,17 @@ func New(cfg Config, specs []dc.Spec, seed uint64) (*Cluster, error) {
 		// Streams are keyed by label and ID, so creation order never matters.
 		c.servers[s.ID] = master.SplitIndex("server", s.ID)
 	}
-	if cfg.Workers > 0 {
-		c.pool = par.New(cfg.Workers)
-	}
-	if cfg.Obs.Enabled() {
-		eng.SetRecorder(cfg.Obs)
-		if cfg.Obs.Journaling() {
-			c.dc.SetJournal(func(e dc.Event) {
-				fields := map[string]any{"server": e.Server}
-				if e.VM >= 0 {
-					fields["vm"] = e.VM
-				}
-				if e.Dest >= 0 {
-					fields["dest"] = e.Dest
-				}
-				cfg.Obs.Emit(eng.Now(), string(e.Kind), fields)
-			})
-		}
-	}
+	eng.SetRecorder(cfg.Obs)
+	c.dc.SetRecorder(cfg.Obs, eng.Now)
 	return c, nil
 }
 
 // Engine exposes the simulation engine so callers can schedule arrivals.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
-// Close releases the scan worker pool (a no-op when Workers was 0). Callers
-// that set Config.Workers must Close the cluster when the run is over.
+// Close releases the scan worker pool (a no-op when Workers is 0 or 1).
+// Callers that set Config.Workers must Close the cluster when the run is
+// over.
 func (c *Cluster) Close() { c.pool.Close() }
 
 // DC exposes the data center for inspection and pre-loading.
@@ -792,7 +779,7 @@ func (c *Cluster) StartMigrationScan() {
 // apply phase:
 //
 //   - Decide (par.For: sharded across the pool, or inline in index order
-//     without one): each server reads its own utilization (a per-server
+//     when it has fewer than two workers): each server reads its own utilization (a per-server
 //     demand-kernel mutation; no server is handed to two workers) and runs
 //     its trial on its private rng stream. A decision depends only on that
 //     server's state, because the actions a tick takes (hibernating a

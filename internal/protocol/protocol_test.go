@@ -1,12 +1,15 @@
 package protocol
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/dc"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -401,9 +404,10 @@ func TestMigrationTransferDominatesLatency(t *testing.T) {
 }
 
 // churnDay runs a small protocol day with migration scanning on a scan
-// pool of the given size, and returns its statistics, its wire traffic and
-// every VM's final host (-1 when not hosted).
-func churnDay(t *testing.T, workers int) (Stats, int, int64, []int) {
+// pool of the given size, recording to rec (which may be nil), and returns
+// its statistics, its wire traffic and every VM's final host (-1 when not
+// hosted).
+func churnDay(t *testing.T, workers int, rec *obs.Recorder) (Stats, int, int64, []int) {
 	t.Helper()
 	churn := trace.DefaultChurnConfig()
 	churn.InitialVMs = 300
@@ -416,6 +420,7 @@ func churnDay(t *testing.T, workers int) (Stats, int, int64, []int) {
 	}
 	cfg := DefaultConfig()
 	cfg.Workers = workers
+	cfg.Obs = rec
 	c, err := New(cfg, dc.UniformFleet(20, 6, 2000), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -447,12 +452,12 @@ func churnDay(t *testing.T, workers int) (Stats, int, int64, []int) {
 // The scan's decision phase runs inline without a pool and sharded with
 // one: every worker count must give the same day, message for message.
 func TestScanWorkerCountInvariance(t *testing.T) {
-	stats, msgs, bytes, hosts := churnDay(t, 0)
+	stats, msgs, bytes, hosts := churnDay(t, 0, nil)
 	if stats.MigrationsLow == 0 || stats.MigrationsHigh == 0 {
 		t.Fatalf("day too quiet to exercise the scan: %+v", stats)
 	}
 	for _, w := range []int{1, 4} {
-		s, m, b, h := churnDay(t, w)
+		s, m, b, h := churnDay(t, w, nil)
 		if s != stats || m != msgs || b != bytes {
 			t.Fatalf("Workers=%d: stats %+v, %d msgs, %d bytes; Workers=0: %+v, %d msgs, %d bytes",
 				w, s, m, b, stats, msgs, bytes)
@@ -461,6 +466,40 @@ func TestScanWorkerCountInvariance(t *testing.T) {
 			if h[i] != hosts[i] {
 				t.Fatalf("Workers=%d: VM index %d ends on server %d, Workers=0 on %d", w, i, h[i], hosts[i])
 			}
+		}
+	}
+}
+
+// protocol.New journals through the same installer as cluster.Run: every
+// line decodes strictly into obs.Line, each cluster.* counter equals its
+// kind's line count, and recording changes nothing about the day.
+func TestProtocolJournalSchema(t *testing.T) {
+	var buf bytes.Buffer
+	rec := obs.NewRecorder(nil, obs.NewJournal(&buf))
+	stats, msgs, _, _ := churnDay(t, 0, rec)
+	if plain, plainMsgs, _, _ := churnDay(t, 0, nil); stats != plain || msgs != plainMsgs {
+		t.Fatalf("recording changed the day: %+v, %d msgs vs %+v, %d msgs", stats, msgs, plain, plainMsgs)
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	perKind := map[string]int64{}
+	for dec.More() {
+		var l obs.Line
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		perKind[l.Kind]++
+	}
+	if got, want := perKind[string(dc.EventMigrate)], int64(stats.MigrationsLow+stats.MigrationsHigh); got != want || want == 0 {
+		t.Errorf("migrate lines = %d, Stats say %d", got, want)
+	}
+	counters := rec.Snapshot().Counters
+	for _, k := range []dc.EventKind{
+		dc.EventPlace, dc.EventRemove, dc.EventMigrate, dc.EventActivate,
+		dc.EventHibernate, dc.EventFail, dc.EventRecover, dc.EventCrashEvict,
+	} {
+		if got, want := counters[k.Counter()], perKind[string(k)]; got != want {
+			t.Errorf("%s = %d, journal has %d %q lines", k.Counter(), got, want, k)
 		}
 	}
 }
